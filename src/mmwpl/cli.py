@@ -12,6 +12,8 @@ import argparse
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import dataio, fitting, presets
 from .errors import DataError, DomainError, NumericalError, UsageError
 from .models import MODEL_FAMILIES, predict
@@ -26,6 +28,8 @@ from .report import (
 from .numformat import format_fixed
 from .synthesis import DEFAULT_SEED, SynthesisSpec, synthesize
 from .taxonomy import (
+    ENVIRONMENTS,
+    LAYOUTS,
     MEASURED_PAIRS,
     Dataset,
     Environment,
@@ -104,8 +108,7 @@ def _parse_freq_blocks(text: str) -> tuple[tuple[float, int], ...]:
 
 
 def _freq_subset(dataset: Dataset, freq_ghz: float) -> Dataset:
-    samples = tuple(s for s in dataset if s.frequency_ghz == freq_ghz)
-    return Dataset(samples, provenance=f"{dataset.provenance}@{freq_ghz:g}GHz")
+    return dataset.select(dataset.freq == freq_ghz, f"{dataset.provenance}@{freq_ghz:g}GHz")
 
 
 def _load_dataset(path: str, mode: str) -> Dataset:
@@ -194,8 +197,7 @@ def _fit_report(dataset: Dataset, selections, singles, multis, f0,
             if len(part) == 0:
                 continue
             if pol is PolarizationClass.COMBINED:
-                kinds = {s.polarization for s in part}
-                if len(kinds) < 2:
+                if np.unique(part.pol).size < 2:
                     continue  # combined duplicates a lone polarization
             freqs = part.frequencies()
             for freq in freqs:
@@ -214,11 +216,11 @@ def _fit_report(dataset: Dataset, selections, singles, multis, f0,
 
 
 def _data_pairs(dataset: Dataset):
-    present = []
-    for s in dataset:
-        pair = (s.environment, s.layout)
-        if pair not in present:
-            present.append(pair)
+    codes, first = np.unique(dataset.env * len(LAYOUTS) + dataset.layout, return_index=True)
+    present = [
+        (ENVIRONMENTS[code // len(LAYOUTS)], LAYOUTS[code % len(LAYOUTS)])
+        for code in codes[np.argsort(first)].tolist()
+    ]
     ordered = [p for p in MEASURED_PAIRS if p in present]
     ordered.extend(p for p in present if p not in ordered)
     return ordered

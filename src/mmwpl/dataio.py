@@ -1,13 +1,15 @@
 """CSV dataset exchange and JSON parameter serialization.
 
-The CSV schema is fixed and ordered:
+The CSV schema is fixed; writers emit its columns in this order:
 
     freq_ghz,distance_m,path_loss_db,polarization,environment,layout,tx_id,rx_id
 
-with '.' as the decimal point, UTF-8 text, and a mandatory header row.
-tx_id and rx_id are free-form labels and may be empty. Strict ingestion
-aborts on the first bad row or unknown column; lax ingestion skips bad
-rows (collecting a report) and ignores unknown columns.
+with '.' as the decimal point, UTF-8 text, and a mandatory header row. A
+file opened by path may start with a byte order mark. Readers accept the
+columns in any order but reject a header that names one of them twice.
+tx_id and rx_id are optional free-form labels and may be empty. Strict
+ingestion aborts on the first bad row or unknown column; lax ingestion
+skips bad rows (collecting a report) and ignores unknown columns.
 
 Parameters travel as JSON with a schema_version field, fixed key order,
 and repr-roundtrip floats, so write -> read -> write is byte-identical.
@@ -18,21 +20,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from .errors import DataError
 from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from .report import FitReport, FitRow
 from .taxonomy import (
+    ENVIRONMENTS,
+    LAYOUTS,
+    POLARIZATIONS,
     Dataset,
     Environment,
     Layout,
-    PathLossSample,
-    Polarization,
     PolarizationClass,
     ScenarioKey,
-    validate_sample,
+    sample_violations,
 )
 
 CSV_COLUMNS = (
@@ -60,7 +66,9 @@ class SkippedRow(NamedTuple):
 
 def _open_text(source: Source, mode: str):
     if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8", newline=""), True
+        # utf-8-sig reads a file with or without a byte order mark alike
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        return open(source, mode, encoding=encoding, newline=""), True
     return source, False
 
 
@@ -72,27 +80,95 @@ def _enum_of(token: str, enum_cls, what: str):
     raise ValueError(f"unknown {what} token {token!r} (expected {valid})")
 
 
-def _parse_row(record: dict[str, str]) -> PathLossSample:
+# rows parsed per step: large enough for numpy to pay off, small enough that
+# the file is never held as cells
+_CHUNK_ROWS = 4096
+
+_NUMERIC_COLUMNS = ("freq_ghz", "distance_m", "path_loss_db")
+_TOKEN_COLUMNS = (
+    ("polarization", POLARIZATIONS),
+    ("environment", ENVIRONMENTS),
+    ("layout", LAYOUTS),
+)
+
+
+def _floats(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Parse cells with float(); a cell it rejects reads as NaN and is flagged."""
+    n = len(cells)
     try:
-        freq = float(record["freq_ghz"])
-        dist = float(record["distance_m"])
-        loss = float(record["path_loss_db"])
+        return np.fromiter(map(float, cells), float, n), np.zeros(n, bool)
+    except ValueError:
+        values, bad = np.empty(n), np.zeros(n, bool)
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = float(cell)
+            except ValueError:
+                values[i], bad[i] = np.nan, True
+        return values, bad
+
+
+def _codes(cells, members) -> np.ndarray:
+    """Token cells as member codes, looked up once per distinct cell; -1 if unknown."""
+    codes = {m.value: i for i, m in enumerate(members)}
+    memo = {cell: codes.get(cell.strip(), -1) for cell in set(cells)}
+    return np.fromiter(map(memo.__getitem__, cells), np.int8, len(cells))
+
+
+def _labels(cells, memo: dict) -> np.ndarray:
+    """Label cells as shared stripped strings (None if empty), memoized per file."""
+    for cell in set(cells).difference(memo):
+        memo[cell] = cell.strip() or None
+    return np.fromiter(map(memo.__getitem__, cells), object, len(cells))
+
+
+def _blank(raw: list[str]) -> bool:
+    return not any(cell.strip() for cell in raw)
+
+
+def _row_problem(raw: list[str], at: dict[str, int]) -> str:
+    """Why one full-width row was rejected: its first failing check."""
+    try:
+        values = [float(raw[at[c]]) for c in _NUMERIC_COLUMNS]
     except ValueError as exc:
-        raise ValueError(f"unparseable numeric: {exc}") from None
-    sample = PathLossSample(
-        frequency_ghz=freq,
-        distance_m=dist,
-        path_loss_db=loss,
-        polarization=_enum_of(record["polarization"].strip(), Polarization, "polarization"),
-        environment=_enum_of(record["environment"].strip(), Environment, "environment"),
-        layout=_enum_of(record["layout"].strip(), Layout, "layout"),
-        tx_id=record.get("tx_id", "").strip() or None,
-        rx_id=record.get("rx_id", "").strip() or None,
-    )
-    violations = validate_sample(sample)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return sample
+        return f"unparseable numeric: {exc}"
+    for column, members in _TOKEN_COLUMNS:
+        try:
+            _enum_of(raw[at[column]].strip(), members, column)
+        except ValueError as exc:
+            return str(exc)
+    return "; ".join(sample_violations(*(np.array([v]) for v in values))[0])
+
+
+def _parse_chunk(rows, first: int, at: dict[str, int], width: int, labels: dict):
+    """Parse consecutive data rows, the first of them numbered `first`.
+
+    Returns the columns of the rows that pass every check, and the rejected
+    rows as SkippedRow in row order. Blank rows are dropped silently. Checks
+    run vectorized; only a rejected row gets its message built.
+    """
+    problems: dict[int, str] = {}
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    for i in np.flatnonzero(lengths != width).tolist():
+        if not _blank(rows[i]):
+            problems[i] = f"expected {width} fields, got {lengths[i]}"
+    position = np.flatnonzero(lengths == width)
+    if position.size < len(rows):
+        rows = [rows[i] for i in position.tolist()]
+    cells = list(zip(*rows)) or [()] * width
+    floats = [_floats(cells[at[column]]) for column in _NUMERIC_COLUMNS]
+    freq, dist, pl = (values for values, _ in floats)
+    codes = [_codes(cells[at[column]], members) for column, members in _TOKEN_COLUMNS]
+    bad = np.logical_or.reduce([unparsed for _, unparsed in floats] + [c < 0 for c in codes])
+    bad[list(sample_violations(freq, dist, pl))] = True
+    for j in np.flatnonzero(bad).tolist():
+        if not _blank(rows[j]):
+            problems[int(position[j])] = _row_problem(rows[j], at)
+    keep = ~bad
+    n = int(keep.sum())
+    ids = [_labels(cells[at[c]], labels)[keep] if c in at else np.full(n, None, object)
+           for c in ("tx_id", "rx_id")]
+    columns = (freq[keep], dist[keep], pl[keep], *(c[keep] for c in codes), *ids)
+    return columns, [SkippedRow(first + i, problems[i]) for i in sorted(problems)]
 
 
 def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[SkippedRow]]:
@@ -112,64 +188,56 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
         except StopIteration:
             raise DataError("read_csv: missing header row") from None
         header = [h.strip() for h in header]
+        duplicate = [h for i, h in enumerate(header) if h in CSV_COLUMNS and h in header[:i]]
         unknown = [h for h in header if h not in CSV_COLUMNS]
         missing = [c for c in CSV_COLUMNS[:6] if c not in header]
+        if duplicate:
+            raise DataError(f"read_csv: duplicate column(s) {duplicate}")
         if unknown and mode == "strict":
             raise DataError(f"read_csv: unknown column(s) {unknown}")
         if missing:
             raise DataError(f"read_csv: missing required column(s) {missing}")
-        samples: list[PathLossSample] = []
+        at = {name: header.index(name) for name in CSV_COLUMNS if name in header}
+        parts = []
         skipped: list[SkippedRow] = []
-        for index, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(header):
-                problem = f"expected {len(header)} fields, got {len(raw)}"
-                if mode == "strict":
-                    raise DataError(f"read_csv: row {index}: {problem}")
-                skipped.append(SkippedRow(index, problem))
-                continue
-            record = dict(zip(header, raw))
-            try:
-                samples.append(_parse_row(record))
-            except ValueError as exc:
-                if mode == "strict":
-                    raise DataError(f"read_csv: row {index}: {exc}") from None
-                skipped.append(SkippedRow(index, str(exc)))
-        name = getattr(stream, "name", None) or "<stream>"
-        return Dataset(tuple(samples), provenance=str(name)), skipped
+        labels: dict = {}
+        first = 1
+        for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+            columns, rejected = _parse_chunk(rows, first, at, len(header), labels)
+            if rejected and mode == "strict":
+                raise DataError(f"read_csv: row {rejected[0].row}: {rejected[0].reason}")
+            skipped.extend(rejected)
+            parts.append(columns)
+            first += len(rows)
+        name = str(getattr(stream, "name", None) or "<stream>")
+        if not parts:
+            return Dataset((), provenance=name), skipped
+        columns = (np.concatenate(c) for c in zip(*parts))
+        return Dataset.from_columns(*columns, provenance=name), skipped
     finally:
         if owned:
             stream.close()
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(dataset: Dataset, dest: Source) -> None:
     """Write a dataset in the fixed schema; floats keep full precision."""
+    tokens = [[m.value for m in members] for _, members in _TOKEN_COLUMNS]
     stream, owned = _open_text(dest, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for s in dataset:
-            writer.writerow(
-                [
-                    _cell(s.frequency_ghz),
-                    _cell(s.distance_m),
-                    _cell(s.path_loss_db),
-                    s.polarization.value,
-                    s.environment.value,
-                    s.layout.value,
-                    _cell(s.tx_id),
-                    _cell(s.rx_id),
-                ]
-            )
+        # csv.writer writes a float as its repr and None as an empty cell
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            codes = (dataset.pol[part], dataset.env[part], dataset.layout[part])
+            writer.writerows(zip(
+                dataset.freq[part].tolist(),
+                dataset.dist[part].tolist(),
+                dataset.pl[part].tolist(),
+                *(map(t.__getitem__, c.tolist()) for t, c in zip(tokens, codes)),
+                dataset.tx_id[part].tolist(),
+                dataset.rx_id[part].tolist(),
+            ))
     finally:
         if owned:
             stream.close()

@@ -10,6 +10,7 @@ gives one bit-identical dataset on every platform numpy supports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,11 @@ import numpy as np
 from .errors import DataError, DomainError
 from .models import PathLossModel, predict
 from .taxonomy import (
+    ENVIRONMENTS,
+    LAYOUTS,
     MIN_DISTANCE_M,
+    POLARIZATIONS,
     Dataset,
-    PathLossSample,
     Polarization,
     PolarizationClass,
     ScenarioKey,
@@ -63,32 +66,37 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
         raise DomainError("synthesize: minimum distance below the 1 m reference")
     if d_hi < d_lo:
         raise DomainError("synthesize: empty distance range")
+    if (isinstance(spec.seed, bool) or not isinstance(spec.seed, numbers.Integral)
+            or spec.seed < 0):
+        raise DataError(f"synthesize: seed must be a non-negative integer, got {spec.seed!r}")
     if len(spec.frequencies) == 0:
         raise DataError("synthesize: no frequency blocks requested")
     for f_ghz, count in spec.frequencies:
         if not math.isfinite(f_ghz) or f_ghz <= 0.0:
             raise DomainError(f"synthesize: bad frequency {f_ghz!r}")
-        if int(count) != count or count <= 0:
+        if isinstance(count, bool) or int(count) != count or count <= 0:
             raise DataError(f"synthesize: bad sample count {count!r}")
 
     rng = np.random.default_rng(spec.seed)
     sigma = spec.model.sigma_db
-    samples: list[PathLossSample] = []
+    freqs, distances, losses = [], [], []
     for f_ghz, count in spec.frequencies:
         count = int(count)
-        distances = 10.0 ** rng.uniform(math.log10(d_lo), math.log10(d_hi), count)
-        mean = predict(spec.model, float(f_ghz), distances)
+        block = 10.0 ** rng.uniform(math.log10(d_lo), math.log10(d_hi), count)
+        mean = predict(spec.model, float(f_ghz), block)
         fading = rng.normal(0.0, sigma, count) if sigma > 0.0 else np.zeros(count)
-        losses = np.asarray(mean, dtype=float) + fading
-        for d_m, pl in zip(distances, losses):
-            samples.append(
-                PathLossSample(
-                    frequency_ghz=float(f_ghz),
-                    distance_m=float(d_m),
-                    path_loss_db=float(pl),
-                    polarization=polarization,
-                    environment=spec.scenario.environment,
-                    layout=spec.scenario.layout,
-                )
-            )
-    return Dataset(tuple(samples), provenance=f"synth(seed={spec.seed})")
+        freqs.append(np.full(count, float(f_ghz)))
+        distances.append(block)
+        losses.append(np.asarray(mean, dtype=float) + fading)
+    n = sum(map(len, freqs))
+    return Dataset.from_columns(
+        np.concatenate(freqs),
+        np.concatenate(distances),
+        np.concatenate(losses),
+        np.full(n, POLARIZATIONS.index(polarization), np.int8),
+        np.full(n, ENVIRONMENTS.index(spec.scenario.environment), np.int8),
+        np.full(n, LAYOUTS.index(spec.scenario.layout), np.int8),
+        np.full(n, None, object),
+        np.full(n, None, object),
+        provenance=f"synth(seed={spec.seed})",
+    )

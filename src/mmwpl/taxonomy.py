@@ -10,9 +10,8 @@ V-H samples.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -68,6 +67,33 @@ class PathLossSample:
     rx_id: Optional[str] = None
 
 
+# The sample invariants in report order: a message and the mask of the
+# samples that break it, over the frequency, distance and path loss columns.
+_RULES = (
+    ("frequency must be finite and positive",
+     lambda f, d, pl: ~(np.isfinite(f) & (f > 0))),
+    ("distance must be finite", lambda f, d, pl: ~np.isfinite(d)),
+    ("distance below the 1 m reference",
+     lambda f, d, pl: np.isfinite(d) & (d < MIN_DISTANCE_M)),
+    ("path loss must be finite", lambda f, d, pl: ~np.isfinite(pl)),
+    ("path loss must be positive", lambda f, d, pl: np.isfinite(pl) & (pl <= 0)),
+)
+
+
+def sample_violations(f: np.ndarray, d: np.ndarray, pl: np.ndarray) -> dict[int, list[str]]:
+    """Check sample columns against the data-model invariants.
+
+    Maps the index of each sample that breaks an invariant, ascending, to
+    its violation messages in rule order; samples that pass are absent.
+    This one rule set serves validate_sample, ensure_fit_ready and read_csv.
+    """
+    masks = [rule(f, d, pl) for _, rule in _RULES]
+    return {
+        int(i): [message for (message, _), mask in zip(_RULES, masks) if mask[i]]
+        for i in np.flatnonzero(np.logical_or.reduce(masks))
+    }
+
+
 def validate_sample(sample: PathLossSample) -> list[str]:
     """Check one sample against the data-model invariants.
 
@@ -75,18 +101,8 @@ def validate_sample(sample: PathLossSample) -> list[str]:
     usable for fitting. Violations are reported rather than raised so callers
     can choose between strict and lax ingestion.
     """
-    violations = []
-    if not math.isfinite(sample.frequency_ghz) or sample.frequency_ghz <= 0:
-        violations.append("frequency must be finite and positive")
-    if not math.isfinite(sample.distance_m):
-        violations.append("distance must be finite")
-    elif sample.distance_m < MIN_DISTANCE_M:
-        violations.append("distance below the 1 m reference")
-    if not math.isfinite(sample.path_loss_db):
-        violations.append("path loss must be finite")
-    elif sample.path_loss_db <= 0:
-        violations.append("path loss must be positive")
-    return violations
+    values = (sample.frequency_ghz, sample.distance_m, sample.path_loss_db)
+    return sample_violations(*(np.array([v], dtype=float) for v in values)).get(0, [])
 
 
 @dataclass(frozen=True)
@@ -127,29 +143,126 @@ def measured_scenarios() -> tuple[ScenarioKey, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable collection of samples plus a provenance note."""
+# Column codes: a member's code is its position in its enum's definition order.
+POLARIZATIONS: tuple[Polarization, ...] = tuple(Polarization)
+ENVIRONMENTS: tuple[Environment, ...] = tuple(Environment)
+LAYOUTS: tuple[Layout, ...] = tuple(Layout)
+_CODE = {m: i for members in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)
+         for i, m in enumerate(members)}
 
-    samples: tuple[PathLossSample, ...]
-    provenance: str = ""
+_COLUMN_DTYPES = {
+    "freq": np.float64,
+    "dist": np.float64,
+    "pl": np.float64,
+    "pol": np.int8,
+    "env": np.int8,
+    "layout": np.int8,
+    "tx_id": object,
+    "rx_id": object,
+}
+
+
+class Dataset:
+    """An immutable collection of samples plus a provenance note.
+
+    Samples are stored as read-only columns of equal length: freq, dist and
+    pl (float64, in GHz, m and dB); pol, env and layout (int8 codes, the
+    member's index in POLARIZATIONS, ENVIRONMENTS and LAYOUTS); tx_id and
+    rx_id (object, a label or None). Dataset(samples, provenance) builds the
+    columns from PathLossSample rows; from_columns takes them ready-made.
+    Iteration and .samples give PathLossSample row views built on demand.
+    """
+
+    __slots__ = (*_COLUMN_DTYPES, "provenance")
+
+    def __init__(self, samples: Iterable[PathLossSample] = (), provenance: str = ""):
+        rows = tuple(samples)
+        self._assign(
+            provenance,
+            [s.frequency_ghz for s in rows],
+            [s.distance_m for s in rows],
+            [s.path_loss_db for s in rows],
+            [_CODE[s.polarization] for s in rows],
+            [_CODE[s.environment] for s in rows],
+            [_CODE[s.layout] for s in rows],
+            [s.tx_id for s in rows],
+            [s.rx_id for s in rows],
+        )
+
+    @classmethod
+    def from_columns(cls, freq, dist, pl, pol, env, layout, tx_id, rx_id,
+                     provenance: str = "") -> "Dataset":
+        """Wrap ready-made columns without building row objects.
+
+        Arrays that already have the column's dtype are taken over, not
+        copied, and become read-only.
+        """
+        dataset = cls.__new__(cls)
+        dataset._assign(provenance, freq, dist, pl, pol, env, layout, tx_id, rx_id)
+        return dataset
+
+    def _assign(self, provenance: str, *columns) -> None:
+        for (name, dtype), values in zip(_COLUMN_DTYPES.items(), columns):
+            column = np.asarray(values, dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if len({len(values) for values in columns}) != 1:
+            raise ValueError("Dataset columns differ in length")
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through from_columns, since __setattr__ refuses
+        columns = tuple(getattr(self, name) for name in _COLUMN_DTYPES)
+        return Dataset.from_columns, (*columns, self.provenance)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.freq)
 
     def __iter__(self) -> Iterator[PathLossSample]:
-        return iter(self.samples)
+        return map(
+            PathLossSample,
+            self.freq.tolist(),
+            self.dist.tolist(),
+            self.pl.tolist(),
+            map(POLARIZATIONS.__getitem__, self.pol.tolist()),
+            map(ENVIRONMENTS.__getitem__, self.env.tolist()),
+            map(LAYOUTS.__getitem__, self.layout.tolist()),
+            self.tx_id.tolist(),
+            self.rx_id.tolist(),
+        )
+
+    @property
+    def samples(self) -> tuple[PathLossSample, ...]:
+        """The samples as PathLossSample rows, built on each access."""
+        return tuple(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.provenance == other.provenance and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMN_DTYPES
+        )
+
+    def __repr__(self) -> str:
+        return f"Dataset(<{len(self)} samples>, provenance={self.provenance!r})"
+
+    def select(self, mask: np.ndarray, provenance: str) -> "Dataset":
+        """The samples where a boolean mask is true, in their original order."""
+        index = np.flatnonzero(mask)
+        columns = (getattr(self, name)[index] for name in _COLUMN_DTYPES)
+        return Dataset.from_columns(*columns, provenance=provenance)
 
     def frequencies(self) -> tuple[float, ...]:
         """Distinct sample frequencies in GHz, ascending."""
-        return tuple(sorted({s.frequency_ghz for s in self.samples}))
+        return tuple(np.unique(self.freq).tolist())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample columns as float arrays (frequency, distance, path loss)."""
-        f = np.array([s.frequency_ghz for s in self.samples], dtype=float)
-        d = np.array([s.distance_m for s in self.samples], dtype=float)
-        pl = np.array([s.path_loss_db for s in self.samples], dtype=float)
-        return f, d, pl
+        return self.freq, self.dist, self.pl
 
 
 def partition_by_scenario(dataset: Dataset, key: ScenarioKey) -> Dataset:
@@ -158,15 +271,14 @@ def partition_by_scenario(dataset: Dataset, key: ScenarioKey) -> Dataset:
     The Combined class takes both polarizations. An empty result is returned
     as an empty dataset, not an error.
     """
-    picked = tuple(
-        s
-        for s in dataset.samples
-        if s.environment is key.environment
-        and s.layout is key.layout
-        and key.polarization_class.matches(s.polarization)
+    wanted = np.array([key.polarization_class.matches(p) for p in POLARIZATIONS])
+    mask = (
+        (dataset.env == _CODE[key.environment])
+        & (dataset.layout == _CODE[key.layout])
+        & wanted[dataset.pol]
     )
     prov = f"{dataset.provenance}[{key.label()}]" if dataset.provenance else key.label()
-    return Dataset(picked, provenance=prov)
+    return dataset.select(mask, prov)
 
 
 def ensure_fit_ready(dataset: Dataset, operation: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,19 +290,11 @@ def ensure_fit_ready(dataset: Dataset, operation: str) -> tuple[np.ndarray, np.n
     if len(dataset) == 0:
         raise DataError(f"{operation}: empty dataset")
     f, d, pl = dataset.arrays()
-    ok = (
-        np.isfinite(f)
-        & (f > 0)
-        & np.isfinite(d)
-        & (d >= MIN_DISTANCE_M)
-        & np.isfinite(pl)
-        & (pl > 0)
-    )
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        first = int(bad[0])
-        reasons = "; ".join(validate_sample(dataset.samples[first]))
+    bad = sample_violations(f, d, pl)
+    if bad:
+        first = next(iter(bad))
         raise DataError(
-            f"{operation}: {bad.size} invalid sample(s), first at index {first}: {reasons}"
+            f"{operation}: {len(bad)} invalid sample(s), first at index {first}: "
+            + "; ".join(bad[first])
         )
     return f, d, pl

@@ -256,6 +256,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_negative_synth_seed_is_data(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "table3:28:VV:LOS:CO", "--model", "CI",
+                     "--scenario", "NLOS:CO:VV", "--freqs", "28:5", "--seed", "-1",
+                     "--output", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "seed" in err
+
     def test_scenario_without_polarization_for_synth(self, capsys):
         assert main(["synth", "--preset", "table3:28:VV:LOS:CO", "--model", "CI",
                      "--scenario", "NLOS:CO", "--freqs", "28:5"]) == 2
@@ -285,3 +292,24 @@ class TestIngestionModes:
         assert "skipped row 3" in captured.err
         payload = json.loads(captured.out)
         assert payload["rows"][0]["n_samples"] == 2
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        rows = [CSV_HEADER, "28,10.0,72.39,VV,NLOS,CO,TX1,RX1",
+                "28,20.0,80.0,VV,NLOS,CO,TX1,RX2"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        dataset, skipped = dataio.read_csv(str(path))
+        assert len(dataset) == 2 and skipped == []
+        assert main(["compare", "--input", str(path)]) == 0
+        assert "comparison on all samples (2 samples)" in capsys.readouterr().out
+
+    def test_duplicate_column_is_data(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        rows = [CSV_HEADER + ",freq_ghz", "28,10.0,72.39,VV,NLOS,CO,,,73",
+                "28,20.0,80.0,VV,NLOS,CO,,,73"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for mode in ("strict", "lax"):
+            assert main(["compare", "--input", str(path), "--mode", mode]) == 3
+            err = capsys.readouterr().err
+            assert "data error: read_csv: duplicate column(s) ['freq_ghz']" in err

@@ -1,6 +1,7 @@
 """CSV ingestion modes and JSON parameter round trips."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from mmwpl.report import FitReport, FitRow
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
+    Dataset,
     Environment,
     Layout,
     Polarization,
@@ -124,6 +126,27 @@ class TestReadCsv:
         with pytest.raises(DataError, match="mode"):
             read_text(HEADER + "\n", mode="loose")
 
+    def test_lax_reports_each_bad_row_with_its_first_failing_check(self):
+        text = "\n".join([
+            HEADER,
+            "28,10.0,72.39,VV,NLOS,CO,TX1,RX1",
+            "",
+            "28,10.0,72.39,VV,NLOS",
+            "28,ten,72.39,VV,NLOS,CO,,",
+            "28,10.0,72.39,HH,NLOS,CO,,",
+            "28,0.5,-3,VV,NLOS,CO,,",
+            "73, 20.0 ,1_0e1,VH,LOS,OP,,",
+        ]) + "\n"
+        ds, skipped = read_text(text, mode="lax")
+        assert skipped == [
+            SkippedRow(3, "expected 8 fields, got 5"),
+            SkippedRow(4, "unparseable numeric: could not convert string to float: 'ten'"),
+            SkippedRow(5, "unknown polarization token 'HH' (expected VV/VH)"),
+            SkippedRow(6, "distance below the 1 m reference; path loss must be positive"),
+        ]
+        assert [(s.frequency_ghz, s.distance_m, s.path_loss_db) for s in ds] == [
+            (28.0, 10.0, 72.39), (73.0, 20.0, 100.0)]
+
     def test_blank_lines_ignored(self):
         ds, skipped = read_text(HEADER + "\n\n28,10.0,72.39,VV,NLOS,CO,,\n\n")
         assert len(ds) == 1 and skipped == []
@@ -153,6 +176,23 @@ class TestCsvRoundTrip:
         first = io.StringIO()
         write_csv(ds, first)
         back, _ = read_csv(io.StringIO(first.getvalue()))
+        second = io.StringIO()
+        write_csv(back, second)
+        assert second.getvalue() == first.getvalue()
+
+    def test_rewrite_with_labels_is_byte_identical(self):
+        model = CiParams(ple_n=2.0, sigma_db=4.0)
+        key = ScenarioKey(Environment.NLOS, Layout.OPEN_PLAN, PolarizationClass.VH)
+        ds = synthesize(SynthesisSpec(model, key, ((28.0, 6), (73.0, 6)), (2.0, 40.0),
+                                      seed=4))
+        labels = ["TX1", None, "TX, 2", "", "RX3", None]
+        ds = Dataset(tuple(replace(s, tx_id=labels[i % 6], rx_id=labels[(i + 2) % 6])
+                           for i, s in enumerate(ds)))
+        first = io.StringIO()
+        write_csv(ds, first)
+        assert ",TX1," in first.getvalue() and '"TX, 2"' in first.getvalue()
+        back, skipped = read_csv(io.StringIO(first.getvalue()))
+        assert skipped == []
         second = io.StringIO()
         write_csv(back, second)
         assert second.getvalue() == first.getvalue()

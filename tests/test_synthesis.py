@@ -122,3 +122,11 @@ def test_rejects_bad_counts_and_frequencies():
         synthesize(spec(CiParams(2.0, 1.0), freqs=((-28.0, 5),)))
     with pytest.raises(DataError):
         synthesize(spec(CiParams(2.0, 1.0), freqs=()))
+    with pytest.raises(DataError, match="sample count"):
+        synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, True),)))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "7"])
+def test_rejects_bad_seeds(seed):
+    with pytest.raises(DataError, match="seed"):
+        synthesize(spec(CiParams(2.0, 1.0), seed=seed))

@@ -1,5 +1,9 @@
 """Sample validation, scenario keys, and dataset partitioning."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
 from mmwpl.errors import DataError
@@ -144,6 +148,31 @@ class TestPartition:
             assert len(both) == len(vv) + len(vh)
 
 
+def test_partition_and_arrays_match_a_row_filter():
+    rng = random.Random(3)
+    rows = [
+        sample(freq=rng.choice((28.0, 73.0)), dist=rng.uniform(1.0, 50.0),
+               loss=rng.uniform(60.0, 120.0), pol=rng.choice(list(Polarization)),
+               env=rng.choice(list(Environment)), layout=rng.choice(list(Layout)),
+               tx_id=rng.choice((None, "TX1", "TX2")))
+        for _ in range(300)
+    ]
+    rng.shuffle(rows)
+    ds = Dataset(tuple(rows), provenance="mixed")
+    keys = [ScenarioKey(env, layout, pol) for env in Environment for layout in Layout
+            for pol in PolarizationClass]
+    for key in keys:
+        expected = [s for s in rows
+                    if s.environment is key.environment and s.layout is key.layout
+                    and key.polarization_class.matches(s.polarization)]
+        part = partition_by_scenario(ds, key)
+        assert list(part) == expected
+        f, d, pl = part.arrays()
+        assert f.tolist() == [s.frequency_ghz for s in expected]
+        assert d.tolist() == [s.distance_m for s in expected]
+        assert pl.tolist() == [s.path_loss_db for s in expected]
+
+
 class TestDataset:
     def test_frequencies_sorted_unique(self):
         ds = Dataset((sample(freq=73.0), sample(freq=28.0), sample(freq=73.0)))
@@ -156,6 +185,17 @@ class TestDataset:
         assert list(f) == [28.0, 73.0]
         assert list(d) == [4.0, 8.0]
         assert list(pl) == [70.0, 90.0]
+
+    def test_frozen_value_semantics(self):
+        ds = Dataset((sample(), sample(freq=73.0)), provenance="unit")
+        with pytest.raises(ValueError):
+            ds.freq[0] = 1.0
+        with pytest.raises(AttributeError):
+            ds.provenance = "other"
+        assert ds == Dataset((sample(), sample(freq=73.0)), provenance="unit")
+        assert ds != Dataset((sample(), sample(freq=73.0)), provenance="other")
+        assert copy.deepcopy(ds) == ds
+        assert pickle.loads(pickle.dumps(ds)) == ds
 
     def test_ensure_fit_ready_rejects_empty(self):
         with pytest.raises(DataError, match="empty"):
