@@ -1,4 +1,4 @@
-"""CSV dataset exchange and JSON parameter serialization.
+r"""CSV dataset exchange and JSON parameter serialization.
 
 The CSV schema is fixed; writers emit its columns in this order:
 
@@ -9,7 +9,12 @@ file opened by path may start with a byte order mark. Readers accept the
 columns in any order but reject a header that names one of them twice.
 tx_id and rx_id are optional free-form labels and may be empty. Strict
 ingestion aborts on the first bad row or unknown column; lax ingestion
-skips bad rows (collecting a report) and ignores unknown columns.
+skips bad rows (collecting a report) and ignores unknown columns. A field
+over the csv module's 131072-character limit is a DataError in both modes.
+
+Writers give each float as its repr (the shortest text that reads back
+exactly), quote a label only where csv minimal quoting needs it (a comma,
+a double quote, \r or \n) and end every line in \n.
 
 Parameters travel as JSON with a schema_version field, fixed key order,
 and repr-roundtrip floats, so write -> read -> write is byte-identical.
@@ -22,7 +27,7 @@ import io
 import json
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -171,6 +176,25 @@ def _parse_chunk(rows, first: int, at: dict[str, int], width: int, labels: dict)
     return columns, [SkippedRow(first + i, problems[i]) for i in sorted(problems)]
 
 
+def _chunks(reader):
+    """Yield (rows, error): the reader's rows _CHUNK_ROWS at a time.
+
+    error is None, or the csv.Error (such as an over-limit field) raised by
+    the row after `rows`, which is then the last chunk.
+    """
+    while True:
+        rows: list = []
+        try:
+            # extend keeps the rows read before the error, which number the bad row
+            rows.extend(islice(reader, _CHUNK_ROWS))
+        except csv.Error as exc:
+            yield rows, exc
+            return
+        if not rows:
+            return
+        yield rows, None
+
+
 def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[SkippedRow]]:
     """Read a sample dataset from a path or an open text stream.
 
@@ -187,6 +211,8 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
             header = next(reader)
         except StopIteration:
             raise DataError("read_csv: missing header row") from None
+        except csv.Error as exc:
+            raise DataError(f"read_csv: header row: {exc}") from None
         header = [h.strip() for h in header]
         duplicate = [h for i, h in enumerate(header) if h in CSV_COLUMNS and h in header[:i]]
         unknown = [h for h in header if h not in CSV_COLUMNS]
@@ -202,10 +228,12 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
         skipped: list[SkippedRow] = []
         labels: dict = {}
         first = 1
-        for rows in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+        for rows, error in _chunks(reader):
             columns, rejected = _parse_chunk(rows, first, at, len(header), labels)
             if rejected and mode == "strict":
                 raise DataError(f"read_csv: row {rejected[0].row}: {rejected[0].reason}")
+            if error is not None:
+                raise DataError(f"read_csv: row {first + len(rows)}: {error}") from None
             skipped.extend(rejected)
             parts.append(columns)
             first += len(rows)
@@ -219,25 +247,43 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
             stream.close()
 
 
+# rows joined per write: enough to amortize the write call, few enough that
+# one slice's cell strings stay small next to the dataset
+_WRITE_ROWS = 1024
+
+
+def _label_cells(labels: list, memo: dict) -> Iterator[str]:
+    r"""Label cells quoted exactly as csv.writer quotes them, memoized per file.
+
+    Each distinct label is written once as the second field of a two-field
+    row, so an empty label is not the lone-empty-field case, and the leading
+    comma and the line end are dropped. The \r\n line end makes csv quote a
+    label holding either character: with \n alone, Python before 3.13 leaves
+    a lone \r unquoted and the file does not read back.
+    """
+    for label in set(labels).difference(memo):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(("", label))
+        memo[label] = buffer.getvalue()[1:-2]
+    return map(memo.__getitem__, labels)
+
+
 def write_csv(dataset: Dataset, dest: Source) -> None:
     """Write a dataset in the fixed schema; floats keep full precision."""
     tokens = [[m.value for m in members] for _, members in _TOKEN_COLUMNS]
+    labels: dict = {}
     stream, owned = _open_text(dest, "w")
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        # csv.writer writes a float as its repr and None as an empty cell
-        for start in range(0, len(dataset), _CHUNK_ROWS):
-            part = slice(start, start + _CHUNK_ROWS)
-            codes = (dataset.pol[part], dataset.env[part], dataset.layout[part])
-            writer.writerows(zip(
-                dataset.freq[part].tolist(),
-                dataset.dist[part].tolist(),
-                dataset.pl[part].tolist(),
-                *(map(t.__getitem__, c.tolist()) for t, c in zip(tokens, codes)),
-                dataset.tx_id[part].tolist(),
-                dataset.rx_id[part].tolist(),
-            ))
+        stream.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(dataset), _WRITE_ROWS):
+            part = slice(start, start + _WRITE_ROWS)
+            cells = (
+                *(map(repr, c[part].tolist()) for c in (dataset.freq, dataset.dist, dataset.pl)),
+                *(map(t.__getitem__, c[part].tolist())
+                  for t, c in zip(tokens, (dataset.pol, dataset.env, dataset.layout))),
+                *(_label_cells(c[part].tolist(), labels) for c in (dataset.tx_id, dataset.rx_id)),
+            )
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
     finally:
         if owned:
             stream.close()

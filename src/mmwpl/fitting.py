@@ -67,6 +67,13 @@ def _rms(residuals: np.ndarray) -> float:
     return float(np.sqrt(np.mean(residuals**2)))
 
 
+def _require_finite(where: str, **values: float) -> None:
+    """Refuse a fitted value (parameter, sigma or mean frequency) that overflowed."""
+    bad = [name for name, value in values.items() if not np.isfinite(value)]
+    if bad:
+        raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
+
+
 def fit_ci(dataset: Dataset) -> CiParams:
     """Fit the close-in model: one exponent against the 1 m free-space anchor.
 
@@ -84,6 +91,7 @@ def fit_ci(dataset: Dataset) -> CiParams:
         )
     n = float(excess @ dec) / denom
     sigma = _rms(excess - n * dec)
+    _require_finite("fit_ci", n=n, sigma_db=sigma)
     return CiParams(ple_n=n, sigma_db=sigma)
 
 
@@ -110,6 +118,7 @@ def fit_fi(dataset: Dataset) -> FiParams:
         design.T @ design, design.T @ pl, ("intercept", "distance")
     )
     sigma = _rms(pl - (alpha + beta * dec))
+    _require_finite("fit_fi", alpha_db=alpha, beta=beta, sigma_db=sigma)
     return FiParams(alpha_db=float(alpha), beta_slope=float(beta), sigma_db=sigma)
 
 
@@ -137,6 +146,7 @@ def fit_abg(dataset: Dataset) -> AbgParams:
         design.T @ design, design.T @ pl, ("distance", "intercept", "frequency")
     )
     sigma = _rms(pl - design @ np.array([alpha, beta, gamma]))
+    _require_finite("fit_abg", alpha=alpha, beta_db=beta, gamma=gamma, sigma_db=sigma)
     return AbgParams(
         alpha_dist=float(alpha),
         beta_db=float(beta),
@@ -153,7 +163,9 @@ def compute_f0(dataset: Dataset) -> float:
     and 73 GHz give 50.5 and must come out as 51).
     """
     f, _, _ = ensure_fit_ready(dataset, "compute_f0")
-    return round_half_away(float(np.mean(f)), 0)
+    mean = float(np.mean(f))
+    _require_finite("compute_f0", mean_frequency=mean)
+    return round_half_away(mean, 0)
 
 
 def fit_cif(dataset: Dataset, f0_ghz: float | None = None) -> CifParams:
@@ -191,6 +203,7 @@ def fit_cif(dataset: Dataset, f0_ghz: float | None = None) -> CifParams:
             "fit_cif: frequency weighting b undefined, fitted exponent is zero"
         )
     sigma = _rms(excess - design @ np.array([u, v]))
+    _require_finite("fit_cif", n=u, b=v / u, sigma_db=sigma)
     return CifParams(n=float(u), b=float(v / u), f0_ghz=f0, sigma_db=sigma)
 
 
@@ -207,4 +220,5 @@ def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
     resid = pl - base.mean_path_loss_db(f, d)
     xpd = float(np.mean(resid))
     sigma = _rms(resid - xpd)
+    _require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)
     return XpdExtension(base=base, xpd_db=xpd, sigma_db=sigma)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mmwpl import dataio
@@ -262,6 +263,26 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "seed" in err
+
+    def test_field_over_csv_limit_is_data(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        rows = [CSV_HEADER, "28,10.0,72.39,VV,NLOS,CO,TX1,RX1",
+                "28,20.0,80.0,VV,NLOS,CO," + "T" * 200_000 + ",RX2",
+                "28,30.0,85.0,VV,NLOS,CO,TX1,RX3"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for mode in ("strict", "lax"):
+            assert main(["fit", "--input", str(path), "--mode", mode]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error: read_csv: row 2: field larger than field limit")
+
+    def test_overflowing_fit_is_numerical(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = [CSV_HEADER] + [f"{f},{3.0 + i},{1.7e308 - i * 1e306!r},VV,NLOS,CO,,"
+                               for f in (28, 73) for i in range(19)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["fit", "--input", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: fit_ci: non-finite")
 
     def test_scenario_without_polarization_for_synth(self, capsys):
         assert main(["synth", "--preset", "table3:28:VV:LOS:CO", "--model", "CI",

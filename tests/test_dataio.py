@@ -1,9 +1,14 @@
 """CSV ingestion modes and JSON parameter round trips."""
 
+import csv
 import io
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl.dataio import (
     CSV_COLUMNS,
@@ -19,9 +24,13 @@ from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from mmwpl.report import FitReport, FitRow
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
+    ENVIRONMENTS,
+    LAYOUTS,
+    POLARIZATIONS,
     Dataset,
     Environment,
     Layout,
+    PathLossSample,
     Polarization,
     PolarizationClass,
     ScenarioKey,
@@ -197,6 +206,15 @@ class TestCsvRoundTrip:
         write_csv(back, second)
         assert second.getvalue() == first.getvalue()
 
+    def test_label_with_carriage_return_is_quoted(self):
+        ds = Dataset((PathLossSample(28.0, 10.0, 72.5, Polarization.VV, Environment.NLOS,
+                                     Layout.CORRIDOR, "TX\r1", "RX1"),))
+        first = io.StringIO()
+        write_csv(ds, first)
+        assert first.getvalue().endswith(',"TX\r1",RX1\n')
+        back, _ = read_csv(io.StringIO(first.getvalue()))
+        assert back.samples[0].tx_id == "TX\r1"
+
     def test_header_line_is_pinned(self):
         buffer = io.StringIO()
         write_csv(synthesize(SynthesisSpec(
@@ -205,6 +223,104 @@ class TestCsvRoundTrip:
             ((28.0, 1),), (5.0, 5.0), seed=0)), buffer)
         first_line = buffer.getvalue().splitlines()[0]
         assert first_line == "freq_ghz,distance_m,path_loss_db,polarization,environment,layout,tx_id,rx_id"
+
+
+# sizes around the writer's slice boundaries
+WRITE_SIZES = (0, 1, 1023, 1024, 1025, 2049)
+
+# magnitude bands with different repr forms: subnormal, exponent below 1e-4,
+# plain decimal, exponent from 1e16, and next to the largest float
+FLOAT_BANDS = ((5e-324, sys.float_info.min), (sys.float_info.min, 1e-4), (1e-4, 1e16),
+               (1e16, 1e300), (1e300, sys.float_info.max))
+
+LABELS = st.one_of(
+    st.none(),
+    st.text(),
+    st.sampled_from(["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "x\r\ny", "é", "東京"]),
+)
+
+
+def positive_floats(low=0.0):
+    """Finite floats of at least `low` from every band above it."""
+    return st.one_of(*(st.floats(max(a, low), b) for a, b in FLOAT_BANDS if b > low))
+
+
+@st.composite
+def datasets(draw, n, freq, dist, pl, labels):
+    """n rows whose cells are drawn from small per-column pools of values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=8))
+        return [pool[i] for i in rng.integers(len(pool), size=n)]
+
+    codes = [rng.integers(len(members), size=n)
+             for members in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)]
+    return Dataset.from_columns(column(freq), column(dist), column(pl), *codes,
+                                column(labels), column(labels))
+
+
+def reference_csv(dataset):
+    r"""The dataset written row by row through csv.writer, lines ending in \n.
+
+    Each row is written with a \r\n line end, which makes every Python
+    version quote a field holding \r or \n (3.13 does so with \n as well),
+    and that line end is then replaced by \n.
+    """
+    lines = []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    for row in [CSV_COLUMNS, *((s.frequency_ghz, s.distance_m, s.path_loss_db,
+                                s.polarization.value, s.environment.value,
+                                s.layout.value, s.tx_id, s.rx_id) for s in dataset)]:
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+        buffer.seek(0)
+        buffer.truncate()
+    return "".join(lines)
+
+
+def written(dataset):
+    buffer = io.StringIO()
+    write_csv(dataset, buffer)
+    return buffer.getvalue()
+
+
+def first_difference(got, want):
+    """None if the texts are equal, else the text around where they part.
+
+    A plain == assert would have pytest diff both texts whole on failure,
+    which takes seconds per shrinking step on files of 2000 lines.
+    """
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    near = slice(max(at - 40, 0), at + 40)
+    return f"at {at}: {got[near]!r} != {want[near]!r}"
+
+
+class TestCsvWriterProperties:
+    @pytest.mark.parametrize("n", WRITE_SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_by_row_csv_writer(self, n, data):
+        any_float = st.one_of(positive_floats(), st.floats())
+        dataset = data.draw(datasets(n, any_float, any_float, any_float, LABELS))
+        assert first_difference(written(dataset), reference_csv(dataset)) is None
+
+    @pytest.mark.parametrize("n", WRITE_SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_write_read_write_is_byte_identical(self, n, data):
+        # read_csv strips labels and reads an empty one as None
+        kept = LABELS.filter(lambda s: s is None or s.strip() == s != "")
+        dataset = data.draw(datasets(n, positive_floats(), positive_floats(1.0),
+                                     positive_floats(), kept))
+        first = written(dataset)
+        back, skipped = read_csv(io.StringIO(first))
+        assert skipped == [] and len(back) == n
+        assert first_difference(written(back), first) is None
 
 
 def demo_report():

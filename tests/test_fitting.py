@@ -301,6 +301,36 @@ class TestFitXpd:
             fit_xpd(CiParams(2.0, 0.0), Dataset(()))
 
 
+def near_max_losses(pol=Polarization.VV):
+    """38 samples at 28 and 73 GHz whose path losses sit near the float64 maximum."""
+    rng = np.random.default_rng(38)
+    return Dataset(tuple(
+        mk(f, float(d), float(pl), pol)
+        for f in (28.0, 73.0)
+        for d, pl in zip(rng.uniform(2.0, 40.0, 19), rng.uniform(0.85e308, 1.7e308, 19))
+    ))
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_ci(near_max_losses()),
+        lambda: fit_fi(near_max_losses().select(near_max_losses().freq == 28.0, "28")),
+        lambda: fit_abg(near_max_losses()),
+        lambda: fit_cif(near_max_losses()),
+        lambda: fit_xpd(CiParams(2.0, 1.0), near_max_losses(Polarization.VH)),
+    ], ids=["ci", "fi", "abg", "cif", "xpd"])
+    def test_overflowing_losses_are_numerical(self, fit):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite"):
+                fit()
+
+    def test_overflowing_mean_frequency_is_numerical(self):
+        ds = Dataset(tuple(mk(f, d, 80.0) for f in (1.5e308, 1.7e308) for d in (3.0, 9.0)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="compute_f0: non-finite"):
+                compute_f0(ds)
+
+
 class TestPerturbationOptimality:
     def sse(self, model, ds):
         f, d, pl = ds.arrays()
