@@ -10,7 +10,13 @@ columns in any order but reject a header that names one of them twice.
 tx_id and rx_id are optional free-form labels and may be empty. Strict
 ingestion aborts on the first bad row or unknown column; lax ingestion
 skips bad rows (collecting a report) and ignores unknown columns. A field
-over the csv module's 131072-character limit is a DataError in both modes.
+over the csv module's 131072-character limit, and input that is not UTF-8,
+are a DataError in both modes.
+
+Readers split blocks of lines with str.split while the lines hold no
+double quote, carriage return or NUL and none is over the field limit;
+from the first block that does, the rest goes through csv.reader. Either
+way the columns, skipped rows and errors are those csv.reader gives.
 
 Writers give each float as its repr (the shortest text that reads back
 exactly), quote a label only where csv minimal quoting needs it (a comma,
@@ -25,7 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -85,8 +91,8 @@ def _enum_of(token: str, enum_cls, what: str):
     raise ValueError(f"unknown {what} token {token!r} (expected {valid})")
 
 
-# rows parsed per step: large enough for numpy to pay off, small enough that
-# the file is never held as cells
+# lines or rows parsed per step: large enough for numpy to pay off, small
+# enough that the file is never held as cells
 _CHUNK_ROWS = 4096
 
 _NUMERIC_COLUMNS = ("freq_ghz", "distance_m", "path_loss_db")
@@ -112,18 +118,25 @@ def _floats(cells) -> tuple[np.ndarray, np.ndarray]:
         return values, bad
 
 
-def _codes(cells, members) -> np.ndarray:
-    """Token cells as member codes, looked up once per distinct cell; -1 if unknown."""
+def _mapped(cells, memo: dict, convert, dtype) -> np.ndarray:
+    """Cells through convert, called once per distinct cell and kept in memo."""
+    try:
+        return np.fromiter(map(memo.__getitem__, cells), dtype, len(cells))
+    except KeyError:
+        for cell in set(cells).difference(memo):
+            memo[cell] = convert(cell)
+        return np.fromiter(map(memo.__getitem__, cells), dtype, len(cells))
+
+
+def _code_of(members):
+    """A token cell's member code, -1 if it names no member."""
     codes = {m.value: i for i, m in enumerate(members)}
-    memo = {cell: codes.get(cell.strip(), -1) for cell in set(cells)}
-    return np.fromiter(map(memo.__getitem__, cells), np.int8, len(cells))
+    return lambda cell: codes.get(cell.strip(), -1)
 
 
-def _labels(cells, memo: dict) -> np.ndarray:
-    """Label cells as shared stripped strings (None if empty), memoized per file."""
-    for cell in set(cells).difference(memo):
-        memo[cell] = cell.strip() or None
-    return np.fromiter(map(memo.__getitem__, cells), object, len(cells))
+def _label(cell: str) -> Optional[str]:
+    """A label cell as a stripped string, None if empty."""
+    return cell.strip() or None
 
 
 def _blank(raw: list[str]) -> bool:
@@ -144,55 +157,108 @@ def _row_problem(raw: list[str], at: dict[str, int]) -> str:
     return "; ".join(sample_violations(*(np.array([v]) for v in values))[0])
 
 
-def _parse_chunk(rows, first: int, at: dict[str, int], width: int, labels: dict):
-    """Parse consecutive data rows, the first of them numbered `first`.
+def _parse_chunk(cells: list, numbers: np.ndarray, rejected: list[SkippedRow],
+                 at: dict[str, int], memos: dict):
+    """Parse full-width data rows given as columns, one per header field.
 
-    Returns the columns of the rows that pass every check, and the rejected
-    rows as SkippedRow in row order. Blank rows are dropped silently. Checks
-    run vectorized; only a rejected row gets its message built.
+    numbers holds each row's 1-based row number and rejected the rows
+    already turned away for their field count. Returns the columns of the
+    rows that pass every check, and every rejected row as SkippedRow in row
+    order. Blank rows are dropped silently. Checks run vectorized; only a
+    rejected row gets its message built.
     """
-    problems: dict[int, str] = {}
+    floats = [_floats(cells[at[column]]) for column in _NUMERIC_COLUMNS]
+    freq, dist, pl = (values for values, _ in floats)
+    codes = [_mapped(cells[at[column]], memos.setdefault(column, {}), _code_of(members), np.int8)
+             for column, members in _TOKEN_COLUMNS]
+    bad = np.logical_or.reduce([unparsed for _, unparsed in floats] + [c < 0 for c in codes])
+    bad[list(sample_violations(freq, dist, pl))] = True
+    found = []
+    for j in np.flatnonzero(bad).tolist():
+        raw = [column[j] for column in cells]
+        if not _blank(raw):
+            found.append(SkippedRow(int(numbers[j]), _row_problem(raw, at)))
+    keep = ~bad
+    n = int(keep.sum())
+    labels = memos.setdefault("labels", {})
+    ids = [_mapped(cells[at[c]], labels, _label, object)[keep] if c in at
+           else np.full(n, None, object) for c in ("tx_id", "rx_id")]
+    columns = (freq[keep], dist[keep], pl[keep], *(c[keep] for c in codes), *ids)
+    return columns, sorted(rejected + found)
+
+
+def _transposed(rows: list[list[str]], first: int, width: int):
+    """The full-width rows among rows numbered from first, as _parse_chunk takes them.
+
+    A non-blank row of another width is rejected here; a blank one is dropped.
+    """
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    for i in np.flatnonzero(lengths != width).tolist():
-        if not _blank(rows[i]):
-            problems[i] = f"expected {width} fields, got {lengths[i]}"
+    rejected = [SkippedRow(first + i, f"expected {width} fields, got {lengths[i]}")
+                for i in np.flatnonzero(lengths != width).tolist() if not _blank(rows[i])]
     position = np.flatnonzero(lengths == width)
     if position.size < len(rows):
         rows = [rows[i] for i in position.tolist()]
-    cells = list(zip(*rows)) or [()] * width
-    floats = [_floats(cells[at[column]]) for column in _NUMERIC_COLUMNS]
-    freq, dist, pl = (values for values, _ in floats)
-    codes = [_codes(cells[at[column]], members) for column, members in _TOKEN_COLUMNS]
-    bad = np.logical_or.reduce([unparsed for _, unparsed in floats] + [c < 0 for c in codes])
-    bad[list(sample_violations(freq, dist, pl))] = True
-    for j in np.flatnonzero(bad).tolist():
-        if not _blank(rows[j]):
-            problems[int(position[j])] = _row_problem(rows[j], at)
-    keep = ~bad
-    n = int(keep.sum())
-    ids = [_labels(cells[at[c]], labels)[keep] if c in at else np.full(n, None, object)
-           for c in ("tx_id", "rx_id")]
-    columns = (freq[keep], dist[keep], pl[keep], *(c[keep] for c in codes), *ids)
-    return columns, [SkippedRow(first + i, problems[i]) for i in sorted(problems)]
+    return list(zip(*rows)) or [()] * width, first + position, rejected
 
 
-def _chunks(reader):
-    """Yield (rows, error): the reader's rows _CHUNK_ROWS at a time.
+# every byte but the field and line separators, which are never part of a
+# multi-byte UTF-8 character
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
-    error is None, or the csv.Error (such as an over-limit field) raised by
-    the row after `rows`, which is then the last chunk.
+
+def _chunks(stream, width: int):
+    """Yield the data rows left in stream as _parse_chunk takes them, a block at a time.
+
+    A block is the next _CHUNK_ROWS lines as the stream splits them. While
+    blocks hold no double quote, carriage return or NUL (which csv.reader
+    rejects before Python 3.11) and no line longer than the csv field
+    limit, csv.reader would split each line at its commas, so str.split
+    does it: a block whose lines all have `width` fields is split in one
+    call and read off by stride, without per-row lists. From the first
+    other block on, that block and the rest of the stream go through
+    csv.reader, since a quoted field may span lines. A csv.Error (such as
+    an over-limit field) ends the rows with the ones read before it, then
+    raises DataError naming the row it stopped at.
     """
+    limit = csv.field_size_limit()
+    row = b"," * (width - 1) + b"\n"
+    first = 1
+    lines = list(islice(stream, _CHUNK_ROWS))
+    while lines:
+        text = "".join(lines)
+        if ('"' in text or "\r" in text or "\0" in text
+                or len(text) > limit and max(map(len, lines)) > limit):
+            break
+        if not text.endswith("\n"):
+            text += "\n"
+        n = len(lines)
+        # a caller's text stream may hold lone surrogates, which csv.reader
+        # takes like any other character
+        if text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS) == row * n:
+            cells = text[:-1].replace("\n", ",").split(",")
+            yield [cells[j::width] for j in range(width)], np.arange(first, first + n), []
+        else:
+            yield _transposed([line.split(",") for line in text[:-1].split("\n")], first, width)
+        first += n
+        lines = list(islice(stream, _CHUNK_ROWS))
+    reader = csv.reader(chain(lines, stream))
     while True:
         rows: list = []
         try:
             # extend keeps the rows read before the error, which number the bad row
             rows.extend(islice(reader, _CHUNK_ROWS))
         except csv.Error as exc:
-            yield rows, exc
-            return
+            yield _transposed(rows, first, width)
+            raise DataError(f"read_csv: row {first + len(rows)}: {exc}") from None
         if not rows:
             return
-        yield rows, None
+        yield _transposed(rows, first, width)
+        first += len(rows)
+
+
+def _not_utf8(where: str, exc: UnicodeDecodeError) -> DataError:
+    bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start:exc.end])
+    return DataError(f"{where}: input is not UTF-8 text ({exc.reason}: {bad})")
 
 
 def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[SkippedRow]]:
@@ -206,9 +272,9 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
         raise DataError(f"read_csv: unknown mode {mode!r}")
     stream, owned = _open_text(source, "r")
     try:
-        reader = csv.reader(stream)
         try:
-            header = next(reader)
+            # the reader pulls only the header's lines from the stream
+            header = next(csv.reader(stream))
         except StopIteration:
             raise DataError("read_csv: missing header row") from None
         except csv.Error as exc:
@@ -226,22 +292,22 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
         at = {name: header.index(name) for name in CSV_COLUMNS if name in header}
         parts = []
         skipped: list[SkippedRow] = []
-        labels: dict = {}
-        first = 1
-        for rows, error in _chunks(reader):
-            columns, rejected = _parse_chunk(rows, first, at, len(header), labels)
+        memos: dict = {}
+        for chunk in _chunks(stream, len(header)):
+            columns, rejected = _parse_chunk(*chunk, at, memos)
             if rejected and mode == "strict":
                 raise DataError(f"read_csv: row {rejected[0].row}: {rejected[0].reason}")
-            if error is not None:
-                raise DataError(f"read_csv: row {first + len(rows)}: {error}") from None
             skipped.extend(rejected)
             parts.append(columns)
-            first += len(rows)
+            # drop this block's cells before the next one is read
+            del chunk
         name = str(getattr(stream, "name", None) or "<stream>")
         if not parts:
             return Dataset((), provenance=name), skipped
         columns = (np.concatenate(c) for c in zip(*parts))
         return Dataset.from_columns(*columns, provenance=name), skipped
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("read_csv", exc) from None
     finally:
         if owned:
             stream.close()
@@ -392,6 +458,8 @@ def read_params_json(source: Source) -> FitReport:
             doc = json.load(stream)
         except json.JSONDecodeError as exc:
             raise DataError(f"read_params_json: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8("read_params_json", exc) from None
     finally:
         if owned:
             stream.close()

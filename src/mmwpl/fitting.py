@@ -9,6 +9,8 @@ SingularDesignError naming the regressor that went degenerate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DataError, DomainError, NumericalError, SingularDesignError
@@ -74,6 +76,21 @@ def _require_finite(where: str, **values: float) -> None:
         raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
 
 
+def _overflow_checked(estimator):
+    """Run an estimator with numpy's overflow and invalid-value warnings off.
+
+    Data near the float64 limit overflow in the estimator's sums, and
+    _require_finite reports the non-finite result as a NumericalError; the
+    warnings would only say the same on stderr first.
+    """
+    @functools.wraps(estimator)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return estimator(*args, **kwargs)
+    return checked
+
+
+@_overflow_checked
 def fit_ci(dataset: Dataset) -> CiParams:
     """Fit the close-in model: one exponent against the 1 m free-space anchor.
 
@@ -95,6 +112,7 @@ def fit_ci(dataset: Dataset) -> CiParams:
     return CiParams(ple_n=n, sigma_db=sigma)
 
 
+@_overflow_checked
 def fit_fi(dataset: Dataset) -> FiParams:
     """Fit the floating-intercept line by ordinary least squares.
 
@@ -122,6 +140,7 @@ def fit_fi(dataset: Dataset) -> FiParams:
     return FiParams(alpha_db=float(alpha), beta_slope=float(beta), sigma_db=sigma)
 
 
+@_overflow_checked
 def fit_abg(dataset: Dataset) -> AbgParams:
     """Fit the three-parameter multi-frequency model by ordinary least squares.
 
@@ -155,6 +174,7 @@ def fit_abg(dataset: Dataset) -> AbgParams:
     )
 
 
+@_overflow_checked
 def compute_f0(dataset: Dataset) -> float:
     """Reference frequency for the CIF family, in whole GHz.
 
@@ -168,6 +188,7 @@ def compute_f0(dataset: Dataset) -> float:
     return round_half_away(mean, 0)
 
 
+@_overflow_checked
 def fit_cif(dataset: Dataset, f0_ghz: float | None = None) -> CifParams:
     """Fit the frequency-weighted close-in model.
 
@@ -207,6 +228,7 @@ def fit_cif(dataset: Dataset, f0_ghz: float | None = None) -> CifParams:
     return CifParams(n=float(u), b=float(v / u), f0_ghz=f0, sigma_db=sigma)
 
 
+@_overflow_checked
 def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
     """Fit the cross-polarization offset over a frozen co-polarized base.
 

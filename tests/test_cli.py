@@ -1,9 +1,14 @@
 """End-to-end command-line behavior, run in process through main(argv)."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl import dataio
 from mmwpl.cli import main
@@ -284,6 +289,42 @@ class TestExitCodes:
             assert main(["fit", "--input", str(path)]) == 4
         assert capsys.readouterr().err.startswith("numerical error: fit_ci: non-finite")
 
+    def test_overflowing_fit_prints_only_the_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = [CSV_HEADER] + [f"{f},{3.0 + i},{1.7e308 - i * 1e306!r},VV,NLOS,CO,,"
+                               for f in (28, 73) for i in range(19)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--input", str(path)]) == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: fit_ci: non-finite")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("where", ["header", "row 1"])
+    def test_non_utf8_csv_is_data(self, tmp_path, capsys, where):
+        path = tmp_path / "latin.csv"
+        header, row = CSV_HEADER.encode(), b"28,10.0,72.39,VV,NLOS,CO,TX1,RX1"
+        if where == "header":
+            header = header.replace(b"tx_id", b"tx_\xffid")
+        else:
+            row = row.replace(b"TX1", b"TX\xff")
+        path.write_bytes(header + b"\n" + row + b"\n")
+        for mode in ("strict", "lax"):
+            assert main(["fit", "--input", str(path), "--mode", mode]) == 3
+            err = capsys.readouterr().err
+            assert err == ("data error: read_csv: input is not UTF-8 text "
+                           "(invalid start byte: 0xff)\n")
+
+    def test_non_utf8_params_is_data(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_bytes(b'{"schema_version": 1, "rows": [], "note": "\xff"}\n')
+        assert main(["report", "--params", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("data error: read_params_json: input is not UTF-8 text "
+                       "(invalid start byte: 0xff)\n")
+
     def test_scenario_without_polarization_for_synth(self, capsys):
         assert main(["synth", "--preset", "table3:28:VV:LOS:CO", "--model", "CI",
                      "--scenario", "NLOS:CO", "--freqs", "28:5"]) == 2
@@ -334,3 +375,29 @@ class TestIngestionModes:
             assert main(["compare", "--input", str(path), "--mode", mode]) == 3
             err = capsys.readouterr().err
             assert "data error: read_csv: duplicate column(s) ['freq_ghz']" in err
+
+
+# a few rows a fit accepts, so that the bytes after them can reach the estimators
+FIT_ROWS = [f"{f},{d},{60.0 + 2.5 * d + (f == 73) * 9.0},{pol},NLOS,CO,TX1,RX{d}"
+            for f in (28, 73) for pol in ("VV", "VH") for d in (3, 7, 12, 20, 31)]
+
+CSV_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.text(st.sampled_from(list('0123456789.,-+e \n\r"VHNLOSCPTRXnaif\0é')),
+            max_size=300).map(str.encode),
+)
+
+
+class TestFitFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(body=CSV_BYTES, header=st.booleans(), rows=st.sampled_from([0, 5, 20]),
+           mode=st.sampled_from(["strict", "lax"]))
+    def test_arbitrary_bytes_exit_with_a_classified_code(self, tmp_path_factory, body,
+                                                        header, rows, mode):
+        path = tmp_path_factory.getbasetemp() / "fuzz-fit.csv"
+        lines = [CSV_HEADER, *FIT_ROWS[:rows]] if header else []
+        path.write_bytes("".join(line + "\n" for line in lines).encode() + body)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["fit", "--input", str(path), "--mode", mode])
+        assert code in (0, 2, 3, 4)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import sys
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from mmwpl.taxonomy import (
     Polarization,
     PolarizationClass,
     ScenarioKey,
+    sample_violations,
 )
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -321,6 +323,166 @@ class TestCsvWriterProperties:
         back, skipped = read_csv(io.StringIO(first))
         assert skipped == [] and len(back) == n
         assert first_difference(written(back), first) is None
+
+
+# data row counts around read_csv's blocks and chunks of 4096 lines or rows
+READ_SIZES = (0, 1, 4095, 4096, 4097)
+
+TOKEN_MEMBERS = (("polarization", POLARIZATIONS), ("environment", ENVIRONMENTS),
+                 ("layout", LAYOUTS))
+
+
+def reference_problem(raw, at, width):
+    """Why read_csv must turn a non-blank row away, or None: checks in their order."""
+    if len(raw) != width:
+        return f"expected {width} fields, got {len(raw)}"
+    try:
+        values = [float(raw[at[c]]) for c in CSV_COLUMNS[:3]]
+    except ValueError as exc:
+        return f"unparseable numeric: {exc}"
+    for column, members in TOKEN_MEMBERS:
+        token, valid = raw[at[column]].strip(), [m.value for m in members]
+        if token not in valid:
+            return f"unknown {column} token {token!r} (expected {'/'.join(valid)})"
+    violations = sample_violations(*(np.array([v]) for v in values))
+    return "; ".join(violations[0]) if violations else None
+
+
+def reference_read_csv(source, mode):
+    """read_csv as columns and skipped rows, one csv.reader row at a time.
+
+    Takes a header that is valid for the mode. Blank rows are dropped, a
+    csv.Error stops the read at its row, and strict mode stops at the first
+    bad row.
+    """
+    stream = (open(source, encoding="utf-8-sig", newline="")
+              if isinstance(source, str) else source)
+    with stream:
+        reader = csv.reader(stream)
+        header = [h.strip() for h in next(reader)]
+        at = {name: header.index(name) for name in CSV_COLUMNS if name in header}
+        kept, skipped = [], []
+        for number in itertools.count(1):
+            try:
+                raw = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise DataError(f"read_csv: row {number}: {exc}") from None
+            if not any(cell.strip() for cell in raw):
+                continue
+            reason = reference_problem(raw, at, len(header))
+            if reason is None:
+                kept.append(raw)
+            elif mode == "strict":
+                raise DataError(f"read_csv: row {number}: {reason}")
+            else:
+                skipped.append(SkippedRow(number, reason))
+    columns = [[float(raw[at[c]]) for raw in kept] for c in CSV_COLUMNS[:3]]
+    for column, members in TOKEN_MEMBERS:
+        valid = [m.value for m in members]
+        columns.append([valid.index(raw[at[column]].strip()) for raw in kept])
+    for column in CSV_COLUMNS[6:]:
+        columns.append([raw[at[column]].strip() or None if column in at else None
+                        for raw in kept])
+    return columns, skipped
+
+
+def read_columns(source, mode):
+    dataset, skipped = read_csv(source, mode)
+    return [getattr(dataset, name).tolist() for name in
+            ("freq", "dist", "pl", "pol", "env", "layout", "tx_id", "rx_id")], skipped
+
+
+def read_outcome(read, source, mode):
+    """A reader's columns and skipped rows, or its DataError, as text."""
+    try:
+        columns, skipped = read(source, mode)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return "\n".join([*map(repr, columns), *map(repr, skipped)])
+
+
+# the value each column's cells take in a row that passes every check
+PLAIN_CELLS = {"freq_ghz": "28", "distance_m": "10.0", "path_loss_db": "72.39",
+               "polarization": "VV", "environment": "NLOS", "layout": "CO",
+               "tx_id": "TX1", "rx_id": "RX1", "comment": "note"}
+
+
+def plain_rows(rng, header, n):
+    """n rows that pass every check, from small pools of cells per column."""
+    pools = {"freq_ghz": ["28", "73", "28.0", " 73 "],
+             "distance_m": [repr(d) for d in rng.uniform(1.0, 50.0, 64)],
+             "path_loss_db": [repr(p) for p in rng.uniform(40.0, 150.0, 64)],
+             "polarization": ["VV", "VH", " VV"], "environment": ["LOS", "NLOS"],
+             "layout": ["CO", "OP", "CP"], "tx_id": ["TX1", "TX2", "", " T3 "],
+             "rx_id": ["RX1", "é", ""], "comment": ["note", ""]}
+    picks = [[pools[h][i] for i in rng.integers(len(pools[h]), size=n)] for h in header]
+    return list(map(",".join, zip(*picks)))
+
+
+@st.composite
+def odd_lines(draw, header):
+    """A line that read_csv must skip, turn away, or hand to csv.reader."""
+    cells = [PLAIN_CELLS[h] for h in header]
+    column = draw(st.integers(0, len(header) - 1))
+    kind = draw(st.sampled_from(["blank", "short", "long", "cell", "quoted", "crlf",
+                                 "cr", "nul", "over limit"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", " \t "]))
+    if kind == "short":
+        return ",".join(cells[:draw(st.integers(1, len(cells) - 1))])
+    if kind == "long":
+        return ",".join(cells + ["x"] * draw(st.integers(1, 3)))
+    if kind == "crlf":
+        return ",".join(cells) + "\r"
+    if kind == "cell":
+        cells[column] = draw(st.sampled_from(
+            ["ten", "", " 28 ", "1_0", "nan", "inf", "-3", "0.5", "1e400", "HH", "vv", "x"]))
+    elif kind == "quoted":
+        cells[column] = draw(st.sampled_from(
+            ['"a,b"', '"say ""hi"""', '"x\ny"', '"x\r\ny"', '"TX1"', '""', 'a"b']))
+    elif kind == "cr":
+        cells[column] += "\r"
+    elif kind == "nul":
+        cells[column] += "\0"
+    else:
+        cells[column] = "T" * (csv.field_size_limit() + draw(st.sampled_from([0, 1])))
+    return ",".join(cells)
+
+
+@st.composite
+def csv_texts(draw, n):
+    """A header valid for the drawn mode, then n plain rows with odd lines put in."""
+    mode = draw(st.sampled_from(["strict", "lax"]))
+    header = list(draw(st.sampled_from(
+        [CSV_COLUMNS, CSV_COLUMNS[::-1], CSV_COLUMNS[:6]]
+        + ([CSV_COLUMNS + ("comment",)] if mode == "lax" else []))))
+    lines = plain_rows(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), header, n)
+    places = st.one_of(st.integers(0, n), st.sampled_from([p for p in (0, 1, 4095, 4096, n)
+                                                           if p <= n]))
+    for place, line in draw(st.lists(st.tuples(places, odd_lines(header)), max_size=4)):
+        lines.insert(place, line)
+    end = "\n" if draw(st.booleans()) else ""
+    return ",".join(header) + "\n" + "\n".join(lines) + (end if lines else ""), mode
+
+
+class TestCsvReaderProperties:
+    @pytest.mark.parametrize("n", READ_SIZES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_by_row_csv_reader(self, n, data, tmp_path_factory):
+        text, mode = data.draw(csv_texts(n))
+        if data.draw(st.booleans(), label="through a path"):
+            # a file opened by path also ends a line at a lone \r
+            path = tmp_path_factory.getbasetemp() / "reader-property.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            got = read_outcome(read_columns, str(path), mode)
+            want = read_outcome(reference_read_csv, str(path), mode)
+        else:
+            got = read_outcome(read_columns, io.StringIO(text), mode)
+            want = read_outcome(reference_read_csv, io.StringIO(text), mode)
+        assert first_difference(got, want) is None
 
 
 def demo_report():
