@@ -13,10 +13,12 @@ skips bad rows (collecting a report) and ignores unknown columns. A field
 over the csv module's 131072-character limit, and input that is not UTF-8,
 are a DataError in both modes.
 
-Readers split blocks of lines with str.split while the lines hold no
-double quote, carriage return or NUL and none is over the field limit;
-from the first block that does, the rest goes through csv.reader. Either
-way the columns, skipped rows and errors are those csv.reader gives.
+Readers split a block of lines that all have the header's width with
+str.split while the lines hold no double quote, carriage return or NUL
+and none is over the field limit; any other block goes through
+csv.reader, and from the first block with one of those on, so does the
+rest of the input. Either way the columns, skipped rows and errors are
+those csv.reader gives.
 
 Writers give each float as its repr (the shortest text that reads back
 exactly), quote a label only where csv minimal quoting needs it (a comma,
@@ -206,41 +208,53 @@ def _transposed(rows: list[list[str]], first: int, width: int):
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
+def _split_block(lines: list[str], first: int, width: int):
+    """The block of lines numbered from first as _parse_chunk takes them, or None.
+
+    None means the block holds a double quote, carriage return or NUL
+    (which csv.reader rejects before Python 3.11) or a line longer than the
+    csv field limit, so it and the rest of the stream need csv.reader.
+    csv.reader would split any other block at its commas, so one whose
+    lines all have `width` fields is split with str.split and read off by
+    stride, without per-row lists; one with blank, short or long lines goes
+    through csv.reader on its own.
+    """
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if ('"' in text or "\r" in text or "\0" in text
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    n = len(lines)
+    # a caller's text stream may hold lone surrogates, which csv.reader
+    # takes like any other character
+    separators = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if separators != (b"," * (width - 1) + b"\n") * n:
+        return _transposed(list(csv.reader(lines)), first, width)
+    cells = text[:-1].replace("\n", ",").split(",")
+    return [cells[j::width] for j in range(width)], np.arange(first, first + n), []
+
+
 def _chunks(stream, width: int):
     """Yield the data rows left in stream as _parse_chunk takes them, a block at a time.
 
-    A block is the next _CHUNK_ROWS lines as the stream splits them. While
-    blocks hold no double quote, carriage return or NUL (which csv.reader
-    rejects before Python 3.11) and no line longer than the csv field
-    limit, csv.reader would split each line at its commas, so str.split
-    does it: a block whose lines all have `width` fields is split in one
-    call and read off by stride, without per-row lists. From the first
-    other block on, that block and the rest of the stream go through
-    csv.reader, since a quoted field may span lines. A csv.Error (such as
-    an over-limit field) ends the rows with the ones read before it, then
-    raises DataError naming the row it stopped at.
+    A block is the next _CHUNK_ROWS lines as the stream splits them, read
+    with _split_block until one needs csv.reader; from there on, that
+    block and the rest of the stream go through csv.reader, since a quoted
+    field may span lines. A csv.Error (such as an over-limit field) ends
+    the rows with the ones read before it, then raises DataError naming
+    the row it stopped at.
     """
-    limit = csv.field_size_limit()
-    row = b"," * (width - 1) + b"\n"
     first = 1
-    lines = list(islice(stream, _CHUNK_ROWS))
-    while lines:
-        text = "".join(lines)
-        if ('"' in text or "\r" in text or "\0" in text
-                or len(text) > limit and max(map(len, lines)) > limit):
+    while lines := list(islice(stream, _CHUNK_ROWS)):
+        chunk = _split_block(lines, first, width)
+        if chunk is None:
             break
-        if not text.endswith("\n"):
-            text += "\n"
-        n = len(lines)
-        # a caller's text stream may hold lone surrogates, which csv.reader
-        # takes like any other character
-        if text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS) == row * n:
-            cells = text[:-1].replace("\n", ",").split(",")
-            yield [cells[j::width] for j in range(width)], np.arange(first, first + n), []
-        else:
-            yield _transposed([line.split(",") for line in text[:-1].split("\n")], first, width)
-        first += n
-        lines = list(islice(stream, _CHUNK_ROWS))
+        first += len(lines)
+        del lines
+        yield chunk
+        # with the caller's reference gone, this block's cells are freed
+        # before the next block is read
+        del chunk
     reader = csv.reader(chain(lines, stream))
     while True:
         rows: list = []
@@ -299,7 +313,7 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
                 raise DataError(f"read_csv: row {rejected[0].row}: {rejected[0].reason}")
             skipped.extend(rejected)
             parts.append(columns)
-            # drop this block's cells before the next one is read
+            # drop this block's cells before _chunks reads the next block
             del chunk
         name = str(getattr(stream, "name", None) or "<stream>")
         if not parts:
