@@ -45,10 +45,19 @@ from .fitting import (
     fit_ci,
     fit_cif,
     fit_fi,
+    fit_scenarios,
     fit_xpd,
 )
 from .synthesis import DEFAULT_SEED, SynthesisSpec, synthesize
-from .report import FitReport, FitRow, TABLE_STYLES, delta_sigma, render_table
+from .report import (
+    ANY_FREQ,
+    FitReport,
+    FitRow,
+    TABLE_STYLES,
+    delta_sigma,
+    render_table,
+    render_tables,
+)
 from .dataio import (
     CSV_COLUMNS,
     PARAMS_SCHEMA_VERSION,
@@ -62,6 +71,7 @@ from .presets import PRESET_TABLES, preset_model, preset_report
 __version__ = "0.1.0"
 
 __all__ = [
+    "ANY_FREQ",
     "AbgParams",
     "CSV_COLUMNS",
     "CifParams",
@@ -97,6 +107,7 @@ __all__ = [
     "fit_ci",
     "fit_cif",
     "fit_fi",
+    "fit_scenarios",
     "fit_xpd",
     "fspl_db",
     "measured_scenarios",
@@ -107,6 +118,7 @@ __all__ = [
     "read_csv",
     "read_params_json",
     "render_table",
+    "render_tables",
     "residual_sigma",
     "synthesize",
     "validate_sample",

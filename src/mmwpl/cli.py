@@ -17,20 +17,10 @@ import numpy as np
 from . import dataio, fitting, presets
 from .errors import DataError, DomainError, NumericalError, UsageError
 from .models import MODEL_FAMILIES, predict
-from .report import (
-    TABLE_STYLES,
-    FitReport,
-    FitRow,
-    delta_sigma,
-    render_table,
-    style_row_count,
-)
+from .report import ANY_FREQ, TABLE_STYLES, render_table, render_tables
 from .numformat import format_fixed
 from .synthesis import DEFAULT_SEED, SynthesisSpec, synthesize
 from .taxonomy import (
-    ENVIRONMENTS,
-    LAYOUTS,
-    MEASURED_PAIRS,
     Dataset,
     Environment,
     Layout,
@@ -44,9 +34,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_SINGLE_FREQ_FAMILIES = ("CI", "FI")
-_MULTI_FREQ_FAMILIES = ("CI", "CIF", "ABG")
-_FIT_CHOICES = ("auto", "ci", "fi", "abg", "cif")
+_FIT_CHOICES = ("auto", *(family.lower() for family in fitting.FIT_FAMILIES))
 
 _ENV_TOKENS = {"los": Environment.LOS, "nlos": Environment.NLOS}
 _LAYOUT_TOKENS = {
@@ -107,10 +95,6 @@ def _parse_freq_blocks(text: str) -> tuple[tuple[float, int], ...]:
     return tuple(blocks)
 
 
-def _freq_subset(dataset: Dataset, freq_ghz: float) -> Dataset:
-    return dataset.select(dataset.freq == freq_ghz, f"{dataset.provenance}@{freq_ghz:g}GHz")
-
-
 def _load_dataset(path: str, mode: str) -> Dataset:
     dataset, skipped = dataio.read_csv(path, mode=mode)
     for item in skipped:
@@ -128,8 +112,8 @@ def _write_text(text: str, output: Optional[str]) -> None:
 
 # ---------------------------------------------------------------- fit
 
-def _requested_families(spec: str) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
-    """Resolve --families into (single-frequency, multi-frequency, explicit) sets.
+def _requested_families(spec: str) -> Optional[tuple[str, ...]]:
+    """Resolve --families into fit_scenarios' families: None for 'auto'.
 
     'auto' adapts to the data: per-frequency CI+FI plus pooled CI+CIF+ABG
     when several frequencies are present. An explicit list is honored
@@ -138,114 +122,21 @@ def _requested_families(spec: str) -> tuple[tuple[str, ...], tuple[str, ...], bo
     """
     tokens = [t.strip().lower() for t in spec.split(",") if t.strip()]
     if not tokens or "auto" in tokens:
-        return _SINGLE_FREQ_FAMILIES, _MULTI_FREQ_FAMILIES, False
+        return None
     bad = [t for t in tokens if t not in _FIT_CHOICES]
     if bad:
         raise UsageError(f"unknown family token(s) {bad}; choose from {_FIT_CHOICES}")
-    wanted = tuple(t.upper() for t in tokens)
-    singles = tuple(f for f in _SINGLE_FREQ_FAMILIES if f in wanted)
-    multis = tuple(f for f in _MULTI_FREQ_FAMILIES if f in wanted)
-    return singles, multis, True
-
-
-_FITTERS = {
-    "CI": lambda ds, f0: fitting.fit_ci(ds),
-    "FI": lambda ds, f0: fitting.fit_fi(ds),
-    "ABG": lambda ds, f0: fitting.fit_abg(ds),
-    "CIF": lambda ds, f0: fitting.fit_cif(ds, f0),
-}
-
-
-def _fit_partition(part, key, freq_tag, families, f0, rows, bases):
-    """Fit one family set on one partition and collect XPD extensions.
-
-    bases maps (env, layout, freq_tag, family) to the co-polarized fit so
-    that V-H partitions can be extended once the V-V base exists.
-    """
-    n = len(part)
-    for family in families:
-        params = _FITTERS[family](part, f0)
-        rows.append(
-            FitRow(family, key, params, freq_ghz=freq_tag, n_samples=n,
-                   source=part.provenance)
-        )
-        pol = key.polarization_class
-        if pol is PolarizationClass.VV and family != "FI":
-            bases[(key.environment, key.layout, freq_tag, family)] = params
-        if pol is PolarizationClass.VH and family != "FI":
-            base = bases.get((key.environment, key.layout, freq_tag, family))
-            if base is not None:
-                ext = fitting.fit_xpd(base, part)
-                rows.append(
-                    FitRow(family + "X", key, ext, freq_ghz=freq_tag, n_samples=n,
-                           source=part.provenance)
-                )
-
-
-def _fit_report(dataset: Dataset, selections, singles, multis, f0,
-                explicit: bool = False) -> FitReport:
-    """Fit the requested families on each (env, layout, optional pol) selection."""
-    rows: list[FitRow] = []
-    bases: dict = {}
-    pol_order = (PolarizationClass.VV, PolarizationClass.VH, PolarizationClass.COMBINED)
-    for env, layout, pol_filter in selections:
-        for pol in pol_order:
-            if pol_filter is not None and pol is not pol_filter:
-                continue
-            key = ScenarioKey(env, layout, pol)
-            part = partition_by_scenario(dataset, key)
-            if len(part) == 0:
-                continue
-            if pol is PolarizationClass.COMBINED:
-                if np.unique(part.pol).size < 2:
-                    continue  # combined duplicates a lone polarization
-            freqs = part.frequencies()
-            for freq in freqs:
-                sub = part if len(freqs) == 1 else _freq_subset(part, freq)
-                _fit_partition(sub, key, freq, singles, f0, rows, bases)
-            if len(freqs) > 1:
-                _fit_partition(part, key, None, multis, f0, rows, bases)
-            elif explicit:
-                # families that genuinely need several frequencies were
-                # asked for by name; let the estimator refuse the data
-                pooled_only = tuple(f for f in multis if f not in _SINGLE_FREQ_FAMILIES)
-                _fit_partition(part, key, None, pooled_only, f0, rows, bases)
-    if not rows:
-        raise DataError("fit: no scenario partition contained samples to fit")
-    return FitReport(tuple(rows))
-
-
-def _data_pairs(dataset: Dataset):
-    codes, first = np.unique(dataset.env * len(LAYOUTS) + dataset.layout, return_index=True)
-    present = [
-        (ENVIRONMENTS[code // len(LAYOUTS)], LAYOUTS[code % len(LAYOUTS)])
-        for code in codes[np.argsort(first)].tolist()
-    ]
-    ordered = [p for p in MEASURED_PAIRS if p in present]
-    ordered.extend(p for p in present if p not in ordered)
-    return ordered
-
-
-def _render_styles(report: FitReport) -> str:
-    chunks = [
-        render_table(report, style)
-        for style in TABLE_STYLES
-        if style_row_count(report, style) > 0
-    ]
-    return "\n".join(chunks)
+    return tuple(t.upper() for t in tokens)
 
 
 def _cmd_fit(args) -> int:
     dataset = _load_dataset(args.input, args.mode)
-    if args.scenario:
-        selections = [_parse_scenario(text) for text in args.scenario]
-    else:
-        selections = [(env, layout, None) for env, layout in _data_pairs(dataset)]
-    singles, multis, explicit = _requested_families(args.families)
-    report = _fit_report(dataset, selections, singles, multis, args.f0, explicit)
+    selections = [_parse_scenario(text) for text in args.scenario] if args.scenario else None
+    families = _requested_families(args.families)
+    report = fitting.fit_scenarios(dataset, selections, families, args.f0)
     if args.output:
         dataio.write_params_json(report, args.output)
-        sys.stdout.write(_render_styles(report))
+        sys.stdout.write(render_tables(report))
     else:
         sys.stdout.write(dataio.dumps_params(report))
     return EXIT_OK
@@ -264,10 +155,31 @@ def _resolve_model(args):
     if args.scenario:
         env, layout, pol = _parse_scenario(args.scenario, need_pol=True)
         scenario = ScenarioKey(env, layout, pol)
-    freq = "any"
+    freq = ANY_FREQ
     if args.fit_freq is not None:
-        freq = None if args.fit_freq.lower() == "multi" else float(args.fit_freq)
+        try:
+            freq = None if args.fit_freq.lower() == "multi" else float(args.fit_freq)
+        except ValueError:
+            raise UsageError(
+                f"--fit-freq {args.fit_freq!r} must be a GHz value or 'multi'"
+            ) from None
     return report.single(family, scenario, freq).params
+
+
+def _predict_row(model, freq, dists: list[float]) -> list[float]:
+    """predict at one frequency over every distance, in one array call.
+
+    A DomainError names the first check the whole row fails, so the points
+    are then redone one by one to raise the first failing point's error, as
+    a per-point loop would. A NumericalError comes only from a row with no
+    domain error and names no point, so it stands as raised.
+    """
+    try:
+        return predict(model, freq, np.array(dists)).tolist()
+    except DomainError:
+        for d in dists:
+            predict(model, freq, d)
+        raise
 
 
 def _cmd_predict(args) -> int:
@@ -279,11 +191,11 @@ def _cmd_predict(args) -> int:
             raise UsageError(f"--freq is required for the {model.family} family")
         freqs = args.freq
     lines = ["freq_ghz,distance_m,path_loss_db"]
+    d_cells = [f"{d:g}" for d in args.dist]
     for f in freqs:
-        for d in args.dist:
-            loss = predict(model, f, d)
-            f_cell = "" if f is None else f"{f:g}"
-            lines.append(f"{f_cell},{d:g},{loss:.4f}")
+        f_cell = "" if f is None else f"{f:g}"
+        losses = _predict_row(model, f, args.dist)
+        lines.extend(f"{f_cell},{d},{loss:.4f}" for d, loss in zip(d_cells, losses))
     _write_text("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -317,7 +229,7 @@ def _cmd_report(args) -> int:
         if args.style:
             text = render_table(report, args.style)
         else:
-            text = _render_styles(report)
+            text = render_tables(report)
             if not text:
                 text = render_table(report, "table3")
     _write_text(text, args.output)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
@@ -390,22 +391,37 @@ def _params_fields(params) -> dict:
     raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
 
 
+def _finite(value, what: str):
+    """A JSON number that is finite; NaN, Infinity, strings and booleans raise."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return value
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 def _params_from_fields(obj: dict):
     try:
         model = obj["model"]
+
+        def num(name, default=None):
+            value = obj[name] if default is None else obj.get(name, default)
+            return _finite(value, f"{model} parameter {name}")
+
         if model == "CI":
-            return CiParams(obj["n"], obj["sigma_db"], obj.get("d0_m", 1.0))
+            return CiParams(num("n"), num("sigma_db"), num("d0_m", 1.0))
         if model == "FI":
-            return FiParams(obj["alpha_db"], obj["beta"], obj["sigma_db"])
+            return FiParams(num("alpha_db"), num("beta"), num("sigma_db"))
         if model == "ABG":
-            return AbgParams(obj["alpha"], obj["beta_db"], obj["gamma"],
-                             obj["sigma_db"], obj.get("d0_m", 1.0))
+            return AbgParams(num("alpha"), num("beta_db"), num("gamma"),
+                             num("sigma_db"), num("d0_m", 1.0))
         if model == "CIF":
-            return CifParams(obj["n"], obj["b"], obj["f0_ghz"],
-                             obj["sigma_db"], obj.get("d0_m", 1.0))
+            return CifParams(num("n"), num("b"), num("f0_ghz"),
+                             num("sigma_db"), num("d0_m", 1.0))
         if model in ("CIX", "ABGX", "CIFX"):
             return XpdExtension(_params_from_fields(obj["base"]),
-                                obj["xpd_db"], obj["sigma_db"])
+                                num("xpd_db"), num("sigma_db"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad parameter object: {exc}") from None
     raise DataError(f"read_params_json: unknown model {obj.get('model')!r}")
@@ -434,11 +450,14 @@ def _row_from_json(obj: dict) -> FitRow:
             _enum_of(sc["layout"], Layout, "layout"),
             _enum_of(sc["polarization"], PolarizationClass, "polarization class"),
         )
+        family, freq = obj["model"], obj.get("freq_ghz")
+        if not isinstance(family, str):
+            raise TypeError(f"model must be a string, got {family!r}")
         return FitRow(
-            family=obj["model"],
+            family=family,
             scenario=scenario,
             params=_params_from_fields(obj["params"]),
-            freq_ghz=obj.get("freq_ghz"),
+            freq_ghz=None if freq is None else _finite(freq, "freq_ghz"),
             n_samples=obj.get("n_samples"),
             source=obj.get("source", ""),
         )

@@ -5,15 +5,20 @@ the population RMS of the training residuals, sqrt(SSE / N). The linear
 families are solved through their normal equations by a small Gaussian
 elimination with partial pivoting; a collapsed pivot is reported as a
 SingularDesignError naming the regressor that went degenerate.
+
+fit_scenarios fits every family per scenario and frequency class in one
+pass over the dataset. It and the public estimators share one private
+kernel per family, so the arithmetic has one copy.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericalError, SingularDesignError
+from .errors import DataError, DomainError, NumericalError, SingularDesignError, UsageError
 from .freespace import fspl_db
 from .models import (
     AbgParams,
@@ -24,7 +29,20 @@ from .models import (
     XpdExtension,
 )
 from .numformat import round_half_away
-from .taxonomy import Dataset, ensure_fit_ready
+from .report import FitReport, FitRow
+from .taxonomy import (
+    ENVIRONMENTS,
+    LAYOUTS,
+    MEASURED_PAIRS,
+    POLARIZATIONS,
+    Dataset,
+    Environment,
+    Layout,
+    Polarization,
+    PolarizationClass,
+    ScenarioKey,
+    ensure_fit_ready,
+)
 
 # pivot threshold, scaled by the largest absolute entry of the normal matrix
 RANK_TOLERANCE = 1e-10
@@ -90,6 +108,124 @@ def _overflow_checked(estimator):
     return checked
 
 
+class _Terms(NamedTuple):
+    """Sample columns plus the per-row terms the estimators share."""
+
+    f: np.ndarray
+    d: np.ndarray
+    pl: np.ndarray
+    dec: np.ndarray  # 10 log10 d
+    excess: np.ndarray  # PL - FSPL(f, 1 m)
+    fdec: np.ndarray  # 10 log10 f
+
+    @classmethod
+    def of(cls, f: np.ndarray, d: np.ndarray, pl: np.ndarray) -> "_Terms":
+        return cls(f, d, pl, 10.0 * np.log10(d), pl - fspl_db(f, 1.0), 10.0 * np.log10(f))
+
+    def take(self, index: np.ndarray) -> "_Terms":
+        return _Terms(*(column[index] for column in self))
+
+
+def _ci(t: _Terms) -> CiParams:
+    denom = float(t.dec @ t.dec)
+    if denom <= RANK_TOLERANCE * max(1.0, float(np.max(t.dec**2, initial=0.0))):
+        raise NumericalError(
+            "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
+        )
+    n = float(t.excess @ t.dec) / denom
+    sigma = _rms(t.excess - n * t.dec)
+    _require_finite("fit_ci", n=n, sigma_db=sigma)
+    return CiParams(ple_n=n, sigma_db=sigma)
+
+
+def _fi(t: _Terms) -> FiParams:
+    if np.unique(t.f).size > 1:
+        raise DataError(
+            "fit_fi: dataset spans multiple frequencies; use fit_abg or fit_cif"
+        )
+    if np.unique(t.d).size < 2:
+        raise SingularDesignError(
+            "fit_fi: distance column degenerate, all samples at one distance",
+            regressor="distance",
+        )
+    design = np.column_stack((np.ones_like(t.dec), t.dec))
+    alpha, beta = _solve_normal(
+        design.T @ design, design.T @ t.pl, ("intercept", "distance")
+    )
+    sigma = _rms(t.pl - (alpha + beta * t.dec))
+    _require_finite("fit_fi", alpha_db=alpha, beta=beta, sigma_db=sigma)
+    return FiParams(alpha_db=float(alpha), beta_slope=float(beta), sigma_db=sigma)
+
+
+def _abg(t: _Terms) -> AbgParams:
+    if np.unique(t.f).size < 2:
+        raise SingularDesignError(
+            "fit_abg: frequency column degenerate, single-frequency dataset",
+            regressor="frequency",
+        )
+    if np.unique(t.d).size < 2:
+        raise SingularDesignError(
+            "fit_abg: distance column degenerate, all samples at one distance",
+            regressor="distance",
+        )
+    design = np.column_stack((t.dec, np.ones_like(t.dec), t.fdec))
+    alpha, beta, gamma = _solve_normal(
+        design.T @ design, design.T @ t.pl, ("distance", "intercept", "frequency")
+    )
+    sigma = _rms(t.pl - design @ np.array([alpha, beta, gamma]))
+    _require_finite("fit_abg", alpha=alpha, beta_db=beta, gamma=gamma, sigma_db=sigma)
+    return AbgParams(
+        alpha_dist=float(alpha),
+        beta_db=float(beta),
+        gamma_freq=float(gamma),
+        sigma_db=sigma,
+    )
+
+
+def _f0(f: np.ndarray) -> float:
+    mean = float(np.mean(f))
+    _require_finite("compute_f0", mean_frequency=mean)
+    return round_half_away(mean, 0)
+
+
+def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
+    if f0_ghz is None:
+        f0 = _f0(t.f)
+    else:
+        f0 = float(f0_ghz)
+        if not np.isfinite(f0) or f0 <= 0.0:
+            raise DomainError("fit_cif: f0 must be finite and positive")
+    if np.unique(t.f).size < 2:
+        raise SingularDesignError(
+            "fit_cif: frequency column degenerate, single-frequency dataset",
+            regressor="frequency",
+        )
+    weighted = t.dec * (t.f - f0) / f0
+    design = np.column_stack((t.dec, weighted))
+    u, v = _solve_normal(
+        design.T @ design, design.T @ t.excess, ("distance", "frequency-weighted distance")
+    )
+    if abs(u) < MIN_ABS_PLE:
+        raise NumericalError(
+            "fit_cif: frequency weighting b undefined, fitted exponent is zero"
+        )
+    sigma = _rms(t.excess - design @ np.array([u, v]))
+    _require_finite("fit_cif", n=u, b=v / u, sigma_db=sigma)
+    return CifParams(n=float(u), b=float(v / u), f0_ghz=f0, sigma_db=sigma)
+
+
+def _xpd(base: CoPolarizedParams, t: _Terms) -> XpdExtension:
+    resid = t.pl - base.mean_path_loss_db(t.f, t.d)
+    xpd = float(np.mean(resid))
+    sigma = _rms(resid - xpd)
+    _require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)
+    return XpdExtension(base=base, xpd_db=xpd, sigma_db=sigma)
+
+
+def _ready(dataset: Dataset, operation: str) -> _Terms:
+    return _Terms.of(*ensure_fit_ready(dataset, operation))
+
+
 @_overflow_checked
 def fit_ci(dataset: Dataset) -> CiParams:
     """Fit the close-in model: one exponent against the 1 m free-space anchor.
@@ -98,18 +234,7 @@ def fit_ci(dataset: Dataset) -> CiParams:
     sum((A - n*D)^2) is n = sum(A*D) / sum(D^2). Works on single- and
     multi-frequency data alike since the anchor is per-sample.
     """
-    f, d, pl = ensure_fit_ready(dataset, "fit_ci")
-    excess = pl - fspl_db(f, 1.0)
-    dec = 10.0 * np.log10(d)
-    denom = float(dec @ dec)
-    if denom <= RANK_TOLERANCE * max(1.0, float(np.max(dec**2, initial=0.0))):
-        raise NumericalError(
-            "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
-        )
-    n = float(excess @ dec) / denom
-    sigma = _rms(excess - n * dec)
-    _require_finite("fit_ci", n=n, sigma_db=sigma)
-    return CiParams(ple_n=n, sigma_db=sigma)
+    return _ci(_ready(dataset, "fit_ci"))
 
 
 @_overflow_checked
@@ -120,24 +245,7 @@ def fit_fi(dataset: Dataset) -> FiParams:
     frequencies would silently fold the frequency dependence into the
     intercept. Multi-frequency data belongs to fit_abg or fit_cif.
     """
-    f, d, pl = ensure_fit_ready(dataset, "fit_fi")
-    if np.unique(f).size > 1:
-        raise DataError(
-            "fit_fi: dataset spans multiple frequencies; use fit_abg or fit_cif"
-        )
-    if np.unique(d).size < 2:
-        raise SingularDesignError(
-            "fit_fi: distance column degenerate, all samples at one distance",
-            regressor="distance",
-        )
-    dec = 10.0 * np.log10(d)
-    design = np.column_stack((np.ones_like(dec), dec))
-    alpha, beta = _solve_normal(
-        design.T @ design, design.T @ pl, ("intercept", "distance")
-    )
-    sigma = _rms(pl - (alpha + beta * dec))
-    _require_finite("fit_fi", alpha_db=alpha, beta=beta, sigma_db=sigma)
-    return FiParams(alpha_db=float(alpha), beta_slope=float(beta), sigma_db=sigma)
+    return _fi(_ready(dataset, "fit_fi"))
 
 
 @_overflow_checked
@@ -147,31 +255,7 @@ def fit_abg(dataset: Dataset) -> AbgParams:
     Refuses single-frequency input (the frequency regressor would be a
     constant multiple of the intercept) rather than silently degrading.
     """
-    f, d, pl = ensure_fit_ready(dataset, "fit_abg")
-    if np.unique(f).size < 2:
-        raise SingularDesignError(
-            "fit_abg: frequency column degenerate, single-frequency dataset",
-            regressor="frequency",
-        )
-    if np.unique(d).size < 2:
-        raise SingularDesignError(
-            "fit_abg: distance column degenerate, all samples at one distance",
-            regressor="distance",
-        )
-    dec = 10.0 * np.log10(d)
-    fdec = 10.0 * np.log10(f)
-    design = np.column_stack((dec, np.ones_like(dec), fdec))
-    alpha, beta, gamma = _solve_normal(
-        design.T @ design, design.T @ pl, ("distance", "intercept", "frequency")
-    )
-    sigma = _rms(pl - design @ np.array([alpha, beta, gamma]))
-    _require_finite("fit_abg", alpha=alpha, beta_db=beta, gamma=gamma, sigma_db=sigma)
-    return AbgParams(
-        alpha_dist=float(alpha),
-        beta_db=float(beta),
-        gamma_freq=float(gamma),
-        sigma_db=sigma,
-    )
+    return _abg(_ready(dataset, "fit_abg"))
 
 
 @_overflow_checked
@@ -183,9 +267,7 @@ def compute_f0(dataset: Dataset) -> float:
     and 73 GHz give 50.5 and must come out as 51).
     """
     f, _, _ = ensure_fit_ready(dataset, "compute_f0")
-    mean = float(np.mean(f))
-    _require_finite("compute_f0", mean_frequency=mean)
-    return round_half_away(mean, 0)
+    return _f0(f)
 
 
 @_overflow_checked
@@ -200,32 +282,7 @@ def fit_cif(dataset: Dataset, f0_ghz: float | None = None) -> CifParams:
     f0_ghz defaults to the compute_f0 rule; any caller-supplied positive
     value is honored and stored as given.
     """
-    f, d, pl = ensure_fit_ready(dataset, "fit_cif")
-    if f0_ghz is None:
-        f0 = compute_f0(dataset)
-    else:
-        f0 = float(f0_ghz)
-        if not np.isfinite(f0) or f0 <= 0.0:
-            raise DomainError("fit_cif: f0 must be finite and positive")
-    if np.unique(f).size < 2:
-        raise SingularDesignError(
-            "fit_cif: frequency column degenerate, single-frequency dataset",
-            regressor="frequency",
-        )
-    excess = pl - fspl_db(f, 1.0)
-    dec = 10.0 * np.log10(d)
-    weighted = dec * (f - f0) / f0
-    design = np.column_stack((dec, weighted))
-    u, v = _solve_normal(
-        design.T @ design, design.T @ excess, ("distance", "frequency-weighted distance")
-    )
-    if abs(u) < MIN_ABS_PLE:
-        raise NumericalError(
-            "fit_cif: frequency weighting b undefined, fitted exponent is zero"
-        )
-    sigma = _rms(excess - design @ np.array([u, v]))
-    _require_finite("fit_cif", n=u, b=v / u, sigma_db=sigma)
-    return CifParams(n=float(u), b=float(v / u), f0_ghz=f0, sigma_db=sigma)
+    return _cif(_ready(dataset, "fit_cif"), f0_ghz)
 
 
 @_overflow_checked
@@ -238,9 +295,145 @@ def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
     """
     if not isinstance(base, (CiParams, AbgParams, CifParams)):
         raise DataError("fit_xpd: base must be a fitted CI, ABG, or CIF model")
-    f, d, pl = ensure_fit_ready(cross_dataset, "fit_xpd")
-    resid = pl - base.mean_path_loss_db(f, d)
-    xpd = float(np.mean(resid))
-    sigma = _rms(resid - xpd)
-    _require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)
-    return XpdExtension(base=base, xpd_db=xpd, sigma_db=sigma)
+    return _xpd(base, _ready(cross_dataset, "fit_xpd"))
+
+
+# ------------------------------------------------------- scenario fitting
+
+FIT_FAMILIES = ("CI", "FI", "ABG", "CIF")
+_SINGLE_FREQ_FAMILIES = ("CI", "FI")
+_MULTI_FREQ_FAMILIES = ("CI", "CIF", "ABG")
+_POL_ORDER = (PolarizationClass.VV, PolarizationClass.VH, PolarizationClass.COMBINED)
+_POL_CODES = {
+    PolarizationClass.VV: POLARIZATIONS.index(Polarization.VV),
+    PolarizationClass.VH: POLARIZATIONS.index(Polarization.VH),
+}
+
+_KERNELS = {
+    "CI": lambda t, f0: _ci(t),
+    "FI": lambda t, f0: _fi(t),
+    "ABG": lambda t, f0: _abg(t),
+    "CIF": _cif,
+}
+
+
+def _data_pairs(pair_code: np.ndarray) -> list[tuple[Environment, Layout]]:
+    """(environment, layout) pairs present: measured order first, then the
+    others in order of first appearance."""
+    codes, first = np.unique(pair_code, return_index=True)
+    present = [
+        (ENVIRONMENTS[code // len(LAYOUTS)], LAYOUTS[code % len(LAYOUTS)])
+        for code in codes[np.argsort(first)].tolist()
+    ]
+    ordered = [p for p in MEASURED_PAIRS if p in present]
+    ordered.extend(p for p in present if p not in ordered)
+    return ordered
+
+
+def _fit_families(t, key, freq_tag, families, f0_ghz, source, rows, bases):
+    """Fit one family set on one sample set and collect XPD extensions.
+
+    bases maps (env, layout, freq_tag, family) to the co-polarized fit so
+    that V-H sample sets can be extended once the V-V base exists.
+    """
+    n = len(t.f)
+    pol = key.polarization_class
+    for family in families:
+        params = _KERNELS[family](t, f0_ghz)
+        rows.append(FitRow(family, key, params, freq_ghz=freq_tag, n_samples=n, source=source))
+        if family == "FI":
+            continue
+        slot = (key.environment, key.layout, freq_tag, family)
+        if pol is PolarizationClass.VV:
+            bases[slot] = params
+        elif pol is PolarizationClass.VH and slot in bases:
+            rows.append(FitRow(family + "X", key, _xpd(bases[slot], t), freq_ghz=freq_tag,
+                               n_samples=n, source=source))
+
+
+@_overflow_checked
+def fit_scenarios(
+    dataset: Dataset,
+    selections: Optional[Iterable[tuple]] = None,
+    families: Optional[Iterable[str]] = None,
+    f0_ghz: float | None = None,
+) -> FitReport:
+    """Fit model families per scenario, the way the paper tabulates them.
+
+    selections lists (Environment, Layout, PolarizationClass or None)
+    triples; None takes every (environment, layout) pair in the data, the
+    measured pairs first. A selection without a polarization fits V-V, V-H
+    and, when both are present, Combined. Each polarization's samples are
+    fitted per frequency with the single-frequency families and, when they
+    span several frequencies, pooled with the multi-frequency ones. A V-H
+    fit of CI, ABG or CIF whose V-V fit of the same pair and frequency
+    class came earlier also gets its XPD extension (CIX, ABGX, CIFX).
+
+    families None adapts to the data: CI and FI per frequency, CI, CIF and
+    ABG pooled. A list of names from FIT_FAMILIES is honored literally, so
+    ABG or CIF on single-frequency samples raises the estimator's refusal.
+    f0_ghz is the CIF reference frequency, by default compute_f0's rule.
+
+    Each (environment, layout) group is selected once and its per-row
+    terms computed once; every fit is a take of those rows, in file order.
+    Raises DataError when any sample of the dataset is invalid, also one
+    outside the selections, or when no selected scenario holds samples.
+    """
+    if families is None:
+        singles, multis, explicit = _SINGLE_FREQ_FAMILIES, _MULTI_FREQ_FAMILIES, False
+    else:
+        wanted = tuple(families)
+        unknown = [f for f in wanted if f not in FIT_FAMILIES]
+        if unknown:
+            raise UsageError(
+                f"fit_scenarios: unknown families {unknown}; choose from {FIT_FAMILIES}"
+            )
+        singles = tuple(f for f in _SINGLE_FREQ_FAMILIES if f in wanted)
+        multis = tuple(f for f in _MULTI_FREQ_FAMILIES if f in wanted)
+        explicit = True
+    # families that genuinely need several frequencies, fitted on one
+    # frequency only when asked for by name, so that the estimator refuses
+    pooled_only = tuple(f for f in multis if f not in _SINGLE_FREQ_FAMILIES)
+    if len(dataset):
+        ensure_fit_ready(dataset, "fit_scenarios")
+    pair_code = dataset.env * len(LAYOUTS) + dataset.layout
+    if selections is None:
+        selections = [(env, layout, None) for env, layout in _data_pairs(pair_code)]
+    rows: list[FitRow] = []
+    bases: dict = {}
+    for env, layout, pol_filter in selections:
+        group = np.flatnonzero(pair_code == ENVIRONMENTS.index(env) * len(LAYOUTS)
+                               + LAYOUTS.index(layout))
+        if group.size == 0:
+            continue
+        pol = dataset.pol[group]
+        terms = _Terms.of(dataset.freq[group], dataset.dist[group], dataset.pl[group])
+        for pol_class in _POL_ORDER:
+            if pol_filter is not None and pol_class is not pol_filter:
+                continue
+            if pol_class is PolarizationClass.COMBINED:
+                if np.unique(pol).size < 2:
+                    continue  # combined duplicates a lone polarization
+                part = terms
+            else:
+                index = np.flatnonzero(pol == _POL_CODES[pol_class])
+                if index.size == 0:
+                    continue
+                part = terms.take(index)
+            key = ScenarioKey(env, layout, pol_class)
+            source = (f"{dataset.provenance}[{key.label()}]" if dataset.provenance
+                      else key.label())
+            freqs = np.unique(part.f).tolist()
+            for freq in freqs:
+                if len(freqs) == 1:
+                    _fit_families(part, key, freq, singles, f0_ghz, source, rows, bases)
+                else:
+                    _fit_families(part.take(np.flatnonzero(part.f == freq)), key, freq,
+                                  singles, f0_ghz, f"{source}@{freq:g}GHz", rows, bases)
+            if len(freqs) > 1:
+                _fit_families(part, key, None, multis, f0_ghz, source, rows, bases)
+            elif explicit:
+                _fit_families(part, key, None, pooled_only, f0_ghz, source, rows, bases)
+    if not rows:
+        raise DataError("fit: no scenario partition contained samples to fit")
+    return FitReport(tuple(rows))

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .freespace import fspl_db
 from .taxonomy import MIN_DISTANCE_M, Dataset, ensure_fit_ready
 
@@ -198,9 +198,16 @@ def predict(model: PathLossModel, frequency_ghz, distance_m):
 
     frequency_ghz is required by every family except FI, which ignores it
     (None is accepted there). Distances below the 1 m reference raise
-    DomainError. Scalars give a float; arrays broadcast.
+    DomainError; inputs or parameters so large that the mean overflows
+    float64 raise NumericalError. Scalars give a float; arrays broadcast.
     """
-    out = model.mean_path_loss_db(frequency_ghz, distance_m)
+    # numpy's overflow warnings would only repeat the NumericalError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = model.mean_path_loss_db(frequency_ghz, distance_m)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(
+            f"predict: non-finite {model.family} mean path loss, the inputs overflow float64"
+        )
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -16,8 +16,10 @@ whole GHz, ties away from zero.
 
 from __future__ import annotations
 
+import enum
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
 from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
@@ -46,6 +48,14 @@ _LAYOUT_LABELS = {
     Layout.OPEN_PLAN: "op",
     Layout.CLOSED_PLAN: "cp",
 }
+
+
+class _Wildcard(enum.Enum):
+    ANY_FREQ = "any frequency"
+
+
+# FitReport.find's default frequency: rows of every frequency class match
+ANY_FREQ = _Wildcard.ANY_FREQ
 
 
 @dataclass(frozen=True)
@@ -82,29 +92,33 @@ class FitReport:
         self,
         family: Optional[str] = None,
         scenario: Optional[ScenarioKey] = None,
-        freq_ghz: Optional[float] = "any",
+        freq_ghz: Union[float, None, _Wildcard] = ANY_FREQ,
     ) -> tuple[FitRow, ...]:
         """Rows matching the given family, scenario, and frequency class.
 
-        freq_ghz defaults to matching anything; pass None to select
-        multi-frequency rows explicitly.
+        family and scenario None match anything. freq_ghz defaults to
+        ANY_FREQ, which matches every row; None selects multi-frequency
+        rows; any other value matches rows whose freq_ghz equals it.
         """
-        out = []
-        for row in self.rows:
-            if family is not None and row.family != family:
-                continue
-            if scenario is not None and row.scenario != scenario:
-                continue
-            if not isinstance(freq_ghz, str):
-                if freq_ghz is None:
-                    if row.freq_ghz is not None:
-                        continue
-                elif row.freq_ghz != freq_ghz:
-                    continue
-            out.append(row)
-        return tuple(out)
+        if (family is not None and scenario is not None and freq_ghz is not ANY_FREQ
+                and freq_ghz == freq_ghz):  # NaN equals no row, as in the scan
+            return self._index.get((family, scenario, freq_ghz), ())
+        return tuple(
+            row for row in self.rows
+            if (family is None or row.family == family)
+            and (scenario is None or row.scenario == scenario)
+            and (freq_ghz is ANY_FREQ or row.freq_ghz == freq_ghz)
+        )
 
-    def single(self, family, scenario=None, freq_ghz="any") -> FitRow:
+    @functools.cached_property
+    def _index(self) -> dict:
+        """Rows by (family, scenario, freq_ghz), in row order, built on first use."""
+        index: dict = {}
+        for row in self.rows:
+            index.setdefault((row.family, row.scenario, row.freq_ghz), []).append(row)
+        return {key: tuple(rows) for key, rows in index.items()}
+
+    def single(self, family, scenario=None, freq_ghz=ANY_FREQ) -> FitRow:
         """The unique matching row; raises UsageError when absent or ambiguous."""
         rows = self.find(family, scenario, freq_ghz)
         if not rows:
@@ -330,8 +344,8 @@ def render_table(report: FitReport, style: str) -> str:
     return _render(_STYLE_HEADERS[style], _STYLE_BODIES[style](report))
 
 
-def style_row_count(report: FitReport, style: str) -> int:
-    """Number of body rows the style would render for this report."""
-    if style not in TABLE_STYLES:
-        raise UsageError(f"unknown table style {style!r}; expected one of {TABLE_STYLES}")
-    return len(_STYLE_BODIES[style](report))
+def render_tables(report: FitReport) -> str:
+    """Every style with at least one body row for this report, in
+    TABLE_STYLES order, separated by blank lines; "" when there is none."""
+    bodies = ((style, _STYLE_BODIES[style](report)) for style in TABLE_STYLES)
+    return "\n".join(_render(_STYLE_HEADERS[style], body) for style, body in bodies if body)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process through main(argv)."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwpl import dataio
+from mmwpl import dataio, presets
 from mmwpl.cli import main
-from mmwpl.models import CiParams
+from mmwpl.errors import DomainError, NumericalError
+from mmwpl.models import CiParams, predict
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
     Dataset,
@@ -401,3 +403,170 @@ class TestFitFuzz:
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["fit", "--input", str(path), "--mode", mode])
         assert code in (0, 2, 3, 4)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr, warning messages) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def params_file(tmp_path, edit):
+    """A fitted params JSON with one edit applied to its parsed document."""
+    spec = SynthesisSpec(CiParams(2.5, 1.0), NLOS_CO_VV, ((28.0, 20), (73.0, 20)),
+                         (3.9, 45.9), seed=5)
+    vv = synthesize(spec)
+    vh = synthesize(dataclasses.replace(spec, scenario=NLOS_CO_VH, seed=6))
+    csv_path = tmp_path / "ci.csv"
+    dataio.write_csv(Dataset(vv.samples + vh.samples), csv_path)
+    out = tmp_path / "params.json"
+    assert run_main(["fit", "--input", str(csv_path), "--output", str(out)])[0] == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    edit(doc["rows"])
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return str(out)
+
+
+def set_param(row, name, value):
+    def edit(rows):
+        rows[row]["params"][name] = value
+    return edit
+
+
+class TestNonFiniteInputs:
+    def test_overflowing_frequency_is_numerical(self):
+        code, out, err, caught = run_main(["predict", "--preset", "table5:nlos-cp",
+                                           "--model", "CIF", "--freq", "1e308", "--d", "5"])
+        assert (code, out, caught) == (4, "", [])
+        assert err == ("numerical error: predict: non-finite CIF mean path loss, "
+                       "the inputs overflow float64\n")
+
+    def test_overflowing_params_are_numerical(self, tmp_path):
+        path = params_file(tmp_path, set_param(0, "n", 1e308))
+        code, out, err, caught = run_main(["predict", "--params", path, "--model", "CI",
+                                           "--scenario", "NLOS:CO:VV", "--fit-freq", "28",
+                                           "--f", "28", "--d", "1e300"])
+        assert (code, out, caught) == (4, "", [])
+        assert err.startswith("numerical error: predict: non-finite CI mean path loss")
+        assert err.count("\n") == 1
+
+    def test_overflowing_synthesis_is_numerical(self):
+        code, out, err, caught = run_main(["synth", "--preset", "table5:nlos-cp",
+                                           "--model", "CIF", "--scenario", "NLOS:CP:VV",
+                                           "--freqs", "1e308:5"])
+        assert (code, out, caught) == (4, "", [])
+        assert err.startswith("numerical error: predict: non-finite CIF")
+
+    @pytest.mark.parametrize("edit, field", [
+        (set_param(1, "alpha_db", float("nan")), "FI parameter alpha_db"),
+        (set_param(0, "n", float("inf")), "CI parameter n"),
+        (lambda rows: next(r for r in rows if r["model"] == "CIFX")["params"]["base"]
+         .__setitem__("b", float("-inf")), "CIF parameter b"),
+        (lambda rows: rows[0].__setitem__("freq_ghz", float("nan")), "freq_ghz"),
+        (lambda rows: rows[0].__setitem__("freq_ghz", "28"), "freq_ghz"),
+        (set_param(0, "sigma_db", True), "CI parameter sigma_db"),
+    ], ids=["fi-nan", "ci-inf", "xpd-base", "freq-nan", "freq-text", "bool"])
+    def test_non_finite_params_are_data(self, tmp_path, edit, field):
+        path = params_file(tmp_path, edit)
+        for argv in (["report", "--params", path, "--style", "table3"],
+                     ["predict", "--params", path, "--model", "CI", "--scenario",
+                      "NLOS:CO:VV", "--fit-freq", "multi", "--f", "28", "--d", "5"],
+                     ["synth", "--params", path, "--model", "CI", "--scenario",
+                      "NLOS:CO:VV", "--fit-freq", "multi", "--freqs", "28:5"]):
+            code, out, err, _ = run_main(argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("data error: read_params_json:")
+            assert f"{field} must be a finite number" in err
+
+    def test_bad_fit_frequency_is_usage(self, tmp_path):
+        path = params_file(tmp_path, lambda rows: None)
+        code, _, err, _ = run_main(["predict", "--params", path, "--model", "CI",
+                                    "--fit-freq", "abc", "--f", "28", "--d", "5"])
+        assert code == 2
+        assert err == "usage error: --fit-freq 'abc' must be a GHz value or 'multi'\n"
+
+
+GRID_VALUES = ["28", "73", "5", "45.9", "1", "0.5", "0", "-3", "1e-300", "1e308",
+               "inf", "nan"]
+PRESET_MODELS = [("table5:nlos-cp", family)
+                 for family in ("CI", "CIX", "CIF", "CIFX", "ABG", "ABGX")]
+PRESET_MODELS.append(("table3:28:VV:LOS:CO", "FI"))
+
+
+def per_point_predict(model, freqs, dists):
+    """_cmd_predict's output as a loop of scalar predict calls, or its first error."""
+    lines = ["freq_ghz,distance_m,path_loss_db"]
+    try:
+        for f in freqs:
+            for d in dists:
+                loss = predict(model, f, d)
+                f_cell = "" if f is None else f"{f:g}"
+                lines.append(f"{f_cell},{d:g},{loss:.4f}")
+    except DomainError as exc:
+        return 3, "", f"data error: {exc}\n"
+    except NumericalError as exc:
+        return 4, "", f"numerical error: {exc}\n"
+    return 0, "\n".join(lines) + "\n", ""
+
+
+class TestPredictGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(preset=st.sampled_from(PRESET_MODELS),
+           freqs=st.lists(st.sampled_from(GRID_VALUES[:3] * 3 + GRID_VALUES), max_size=4),
+           dists=st.lists(st.sampled_from(GRID_VALUES[1:5] * 3 + GRID_VALUES), min_size=1,
+                          max_size=8))
+    def test_matches_the_per_point_loop(self, preset, freqs, dists):
+        selector, family = preset
+        if family != "FI" and not freqs:
+            freqs = ["28"]
+        argv = ["predict", "--preset", selector, "--model", family, "--d", *dists]
+        if freqs:
+            argv += ["--f", *freqs]
+        code, out, err, caught = run_main(argv)
+        model = presets.preset_model(selector, family)
+        grid_freqs = [float(f) for f in freqs] if freqs else [None]
+        assert (code, out, err) == per_point_predict(model, grid_freqs,
+                                                     [float(d) for d in dists])
+        assert caught == []
+
+    @pytest.mark.parametrize("family, freqs, dists, error", [
+        ("CI", ["28"], ["5", "0.5", "inf"], "data error: distance below the 1 m reference"),
+        ("CI", ["28"], ["5", "inf", "0.5"], "data error: distance must be finite"),
+        ("CI", ["28", "-3"], ["inf"], "data error: distance must be finite"),
+        ("CI", ["-3"], ["5", "inf"], "data error: fspl_db: frequency must be"),
+        ("ABG", ["-3"], ["inf"], "data error: frequency must be finite and positive"),
+        ("CIF", ["28", "1e308"], ["5", "10"], "numerical error: predict: non-finite"),
+        ("CIF", ["1e308"], ["5", "0.5"], "numerical error: predict: non-finite"),
+        ("CIF", ["1e308"], ["0.5", "5"], "data error: distance below the 1 m reference"),
+    ])
+    def test_first_failing_point_names_the_error(self, family, freqs, dists, error):
+        code, out, err, _ = run_main(["predict", "--preset", "table5:nlos-cp",
+                                      "--model", family, "--f", *freqs, "--d", *dists])
+        assert (code, out) == (3 if error.startswith("data") else 4, "")
+        assert err.startswith(error)
+
+
+ARGV_NUMBERS = st.sampled_from(GRID_VALUES + ["-inf", "-1e308", "-0", "1e-5", "3.9"])
+
+
+class TestPredictFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(preset=st.sampled_from(PRESET_MODELS),
+           freqs=st.lists(ARGV_NUMBERS, max_size=4),
+           dists=st.lists(ARGV_NUMBERS, max_size=6))
+    def test_grids_exit_with_a_classified_code(self, preset, freqs, dists):
+        selector, family = preset
+        argv = ["predict", "--preset", selector, "--model", family]
+        argv += ["--f", *freqs] if freqs else []
+        argv += ["--d", *dists] if dists else []
+        code, _, err, caught = run_main(argv)
+        assert code in (0, 2, 3, 4)
+        assert caught == []
+        assert "Warning" not in err

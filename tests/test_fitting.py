@@ -2,14 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmwpl.errors import DataError, NumericalError, SingularDesignError
+from mmwpl.dataio import dumps_params
+from mmwpl.errors import (
+    DataError,
+    DomainError,
+    NumericalError,
+    SingularDesignError,
+    UsageError,
+)
 from mmwpl.fitting import (
+    FIT_FAMILIES,
     compute_f0,
     fit_abg,
     fit_ci,
     fit_cif,
     fit_fi,
+    fit_scenarios,
     fit_xpd,
 )
 from mmwpl.freespace import fspl_db
@@ -20,7 +31,21 @@ from mmwpl.models import (
     FiParams,
     predict,
 )
-from mmwpl.taxonomy import Dataset, Environment, Layout, PathLossSample, Polarization
+from mmwpl.report import FitReport, FitRow
+from mmwpl.taxonomy import (
+    ENVIRONMENTS,
+    LAYOUTS,
+    MEASURED_PAIRS,
+    POLARIZATIONS,
+    Dataset,
+    Environment,
+    Layout,
+    PathLossSample,
+    Polarization,
+    PolarizationClass,
+    ScenarioKey,
+    partition_by_scenario,
+)
 
 ANCHOR_28_GHZ = 61.39094384872776
 
@@ -374,3 +399,161 @@ def _perturbed(model):
             out.append(CifParams(model.n + eps, model.b, model.f0_ghz, model.sigma_db))
             out.append(CifParams(model.n, model.b + eps, model.f0_ghz, model.sigma_db))
     return out
+
+
+# ---------------------------------------------------------- fit_scenarios
+
+def reference_fit_scenarios(dataset, selections=None, families=None, f0=None):
+    """Scenario fitting as the command line did it before fit_scenarios: one
+    partition_by_scenario mask per scenario, one Dataset per frequency and
+    one public estimator call per fit."""
+    single_all, multi_all = ("CI", "FI"), ("CI", "CIF", "ABG")
+    if families is None:
+        singles, multis, explicit = single_all, multi_all, False
+    else:
+        singles = tuple(f for f in single_all if f in families)
+        multis = tuple(f for f in multi_all if f in families)
+        explicit = True
+    fitters = {
+        "CI": lambda ds: fit_ci(ds),
+        "FI": lambda ds: fit_fi(ds),
+        "ABG": lambda ds: fit_abg(ds),
+        "CIF": lambda ds: fit_cif(ds, f0),
+    }
+    if selections is None:
+        codes, first = np.unique(dataset.env * len(LAYOUTS) + dataset.layout, return_index=True)
+        present = [(ENVIRONMENTS[c // len(LAYOUTS)], LAYOUTS[c % len(LAYOUTS)])
+                   for c in codes[np.argsort(first)].tolist()]
+        pairs = [p for p in MEASURED_PAIRS if p in present]
+        pairs.extend(p for p in present if p not in pairs)
+        selections = [(env, layout, None) for env, layout in pairs]
+    rows, bases = [], {}
+
+    def fit_part(part, key, freq_tag, fams):
+        pol = key.polarization_class
+        for family in fams:
+            params = fitters[family](part)
+            rows.append(FitRow(family, key, params, freq_ghz=freq_tag, n_samples=len(part),
+                               source=part.provenance))
+            slot = (key.environment, key.layout, freq_tag, family)
+            if pol is PolarizationClass.VV and family != "FI":
+                bases[slot] = params
+            if pol is PolarizationClass.VH and family != "FI" and slot in bases:
+                rows.append(FitRow(family + "X", key, fit_xpd(bases[slot], part),
+                                   freq_ghz=freq_tag, n_samples=len(part),
+                                   source=part.provenance))
+
+    for env, layout, pol_filter in selections:
+        for pol in PolarizationClass:
+            if pol_filter is not None and pol is not pol_filter:
+                continue
+            key = ScenarioKey(env, layout, pol)
+            part = partition_by_scenario(dataset, key)
+            if len(part) == 0:
+                continue
+            if pol is PolarizationClass.COMBINED and np.unique(part.pol).size < 2:
+                continue
+            freqs = part.frequencies()
+            for freq in freqs:
+                sub = part if len(freqs) == 1 else part.select(
+                    part.freq == freq, f"{part.provenance}@{freq:g}GHz")
+                fit_part(sub, key, freq, singles)
+            if len(freqs) > 1:
+                fit_part(part, key, None, multis)
+            elif explicit:
+                fit_part(part, key, None, tuple(f for f in multis if f not in single_all))
+    if not rows:
+        raise DataError("fit: no scenario partition contained samples to fit")
+    return FitReport(tuple(rows))
+
+
+ALL_PAIRS = [(env, layout) for env in Environment for layout in Layout]
+
+
+@st.composite
+def scenario_datasets(draw):
+    """Shuffled datasets over 1-5 pairs and 1-3 frequencies, some cells
+    missing, some pairs with one polarization, a few cells of one sample
+    or of one distance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = draw(st.lists(st.sampled_from([28.0, 39.0, 60.0, 73.0]),
+                          min_size=1, max_size=3, unique=True))
+    columns = []
+    for env, layout in draw(st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=5,
+                                     unique=True)):
+        pols = draw(st.sampled_from([("VV",), ("VH",), ("VV", "VH")]))
+        for pol in pols:
+            for f in freqs:
+                if draw(st.integers(0, 4)) == 0:
+                    continue  # missing cell
+                n = 1 if draw(st.integers(0, 19)) == 0 else draw(st.integers(2, 6))
+                if draw(st.integers(0, 29)) == 0:
+                    d = np.full(n, 10.0)
+                else:
+                    d = 10.0 ** rng.uniform(0.1, 1.8, n)
+                pl = (fspl_db(f, 1.0) + 10.0 * rng.uniform(1.0, 4.0) * np.log10(d)
+                      + (12.0 if pol == "VH" else 0.0) + rng.normal(0.0, 3.0, n))
+                codes = (POLARIZATIONS.index(Polarization(pol)), ENVIRONMENTS.index(env),
+                         LAYOUTS.index(layout))
+                columns.append((np.full(n, f), d, pl, *(np.full(n, c, np.int8) for c in codes)))
+    if not columns:
+        return Dataset((), provenance="none")
+    cols = [np.concatenate(c) for c in zip(*columns)]
+    order = rng.permutation(len(cols[0]))
+    n = len(order)
+    return Dataset.from_columns(*(c[order] for c in cols), np.full(n, None, object),
+                                np.full(n, None, object),
+                                provenance=draw(st.sampled_from(["", "data.csv"])))
+
+
+def selections(dataset):
+    """None, or 1-3 (env, layout, pol or None) triples, mostly of pairs in the data."""
+    present = sorted({(ENVIRONMENTS[e], LAYOUTS[lo])
+                      for e, lo in zip(dataset.env.tolist(), dataset.layout.tolist())},
+                     key=ALL_PAIRS.index)
+    pairs = st.sampled_from(present) if present else st.sampled_from(ALL_PAIRS)
+    triple = st.tuples(st.one_of(pairs, pairs, st.sampled_from(ALL_PAIRS)),
+                       st.sampled_from([None, *PolarizationClass]))
+    return st.one_of(st.none(), st.lists(triple.map(lambda t: (*t[0], t[1])),
+                                         min_size=1, max_size=3))
+
+
+FAMILIES = st.one_of(st.none(), st.lists(st.sampled_from(FIT_FAMILIES), min_size=1,
+                                         max_size=4, unique=True))
+
+
+def fit_outcome(fit, *args):
+    """The params JSON a fit gives, or the class and text of its error."""
+    try:
+        return dumps_params(fit(*args))
+    except (DataError, DomainError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFitScenarios:
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=scenario_datasets(), families=FAMILIES,
+           f0=st.sampled_from([None, None, 40.0, 50.0, -1.0]), data=st.data())
+    def test_matches_per_partition_orchestration(self, dataset, families, f0, data):
+        chosen = data.draw(selections(dataset))
+        got = fit_outcome(fit_scenarios, dataset, chosen, families, f0)
+        want = fit_outcome(reference_fit_scenarios, dataset, chosen, families, f0)
+        assert got == want
+
+    def test_pooled_families_need_several_frequencies_when_named(self):
+        ds = dataset_from(CiParams(2.0, 0.0), (28.0,), (2.0, 5.0, 9.0))
+        assert [r.family for r in fit_scenarios(ds).rows] == ["CI", "FI"]
+        with pytest.raises(SingularDesignError, match="fit_abg: frequency column"):
+            fit_scenarios(ds, families=["CI", "ABG"])
+
+    def test_rejects_invalid_samples_and_unknown_families(self):
+        ds = Dataset((mk(28.0, 5.0, 80.0), mk(28.0, 0.5, 70.0)))
+        with pytest.raises(DataError, match="fit_scenarios: 1 invalid sample"):
+            fit_scenarios(ds)
+        with pytest.raises(UsageError, match="unknown families"):
+            fit_scenarios(Dataset((mk(28.0, 5.0, 80.0),)), families=["CIX"])
+
+    def test_empty_selection_is_data(self):
+        ds = dataset_from(CiParams(2.0, 0.0), (28.0,), (2.0, 5.0))
+        with pytest.raises(DataError, match="no scenario partition"):
+            fit_scenarios(ds, [(Environment.LOS, Layout.CLOSED_PLAN, None)])

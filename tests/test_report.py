@@ -1,11 +1,22 @@
 """Sigma-gap bookkeeping and table rendering mechanics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl.errors import DataError, NumericalError, UsageError
-from mmwpl.models import CiParams, FiParams
+from mmwpl.models import CiParams, FiParams, XpdExtension
 from mmwpl.numformat import format_fixed, round_half_away
-from mmwpl.report import FitReport, FitRow, delta_sigma, render_table
+from mmwpl.presets import preset_report
+from mmwpl.report import (
+    ANY_FREQ,
+    TABLE_STYLES,
+    FitReport,
+    FitRow,
+    delta_sigma,
+    render_table,
+    render_tables,
+)
 from mmwpl.taxonomy import Environment, Layout, PolarizationClass, ScenarioKey
 
 KEY = ScenarioKey(Environment.NLOS, Layout.CORRIDOR, PolarizationClass.VV)
@@ -109,3 +120,74 @@ class TestNumberFormatting:
         assert round_half_away(-50.5, 0) == -51.0
         assert round_half_away(61.75, 0) == 62.0
         assert round_half_away(2.25, 1) == 2.3
+
+
+def scan(report, family=None, scenario=None, freq_ghz=ANY_FREQ):
+    """FitReport.find as a plain linear scan over the rows."""
+    out = []
+    for row in report.rows:
+        if family is not None and row.family != family:
+            continue
+        if scenario is not None and row.scenario != scenario:
+            continue
+        if freq_ghz is not ANY_FREQ:
+            if freq_ghz is None:
+                if row.freq_ghz is not None:
+                    continue
+            elif row.freq_ghz != freq_ghz:
+                continue
+        out.append(row)
+    return tuple(out)
+
+
+SCENARIOS = [ScenarioKey(env, layout, pol) for env in Environment
+             for layout in (Layout.CORRIDOR, Layout.CLOSED_PLAN) for pol in PolarizationClass]
+FAMILY_NAMES = ["CI", "FI", "CIX", "ABG", "CIF"]
+FREQS = [None, 28.0, 28, 73.0, float("nan")]
+CI = CiParams(2.0, 1.0)
+ROWS = st.builds(
+    lambda family, key, freq, n: FitRow(family, key, CI if family != "CIX" else
+                                        XpdExtension(CI, 10.0, 1.0),
+                                        freq_ghz=freq, n_samples=n, source="s"),
+    st.sampled_from(FAMILY_NAMES), st.sampled_from(SCENARIOS), st.sampled_from(FREQS),
+    st.integers(1, 3),
+)
+
+
+QUERIES = st.tuples(st.sampled_from([None, *FAMILY_NAMES, "ABGX"]),
+                    st.sampled_from([None, *SCENARIOS]),
+                    st.sampled_from([ANY_FREQ, *FREQS, 39.0, "28"]))
+
+
+class TestFind:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(ROWS, max_size=40), data=st.data())
+    def test_matches_a_linear_scan(self, rows, data):
+        report = FitReport(tuple(rows))
+        # queries of the rows' own keys as well as arbitrary ones
+        keys = [(r.family, r.scenario, r.freq_ghz) for r in rows]
+        own = st.sampled_from(keys) if keys else QUERIES
+        for family, scenario, freq in data.draw(st.lists(st.one_of(QUERIES, own),
+                                                         min_size=1, max_size=10)):
+            got = report.find(family, scenario, freq)
+            want = scan(report, family, scenario, freq)
+            assert [id(r) for r in got] == [id(r) for r in want]
+
+    def test_string_frequency_matches_no_numeric_row(self):
+        report = FitReport((ci_row(1.0), fi_row(1.0), ci_row(1.0, freq_ghz=None)))
+        assert report.find("CI", KEY, "28") == ()
+        assert report.find(None, None, "any") == ()
+        assert len(report.find("CI", KEY)) == 2
+        with pytest.raises(UsageError, match="no CI row"):
+            report.single("CI", KEY, "28")
+
+
+class TestRenderTables:
+    @pytest.mark.parametrize("table", ["table3", "table4", "table5", "table6"])
+    def test_joins_the_styles_that_have_rows(self, table):
+        report = preset_report(table)
+        tables = [render_table(report, style) for style in TABLE_STYLES]
+        assert render_tables(report) == "\n".join(t for t in tables if t.count("\n") > 2)
+
+    def test_empty_report_renders_nothing(self):
+        assert render_tables(FitReport()) == ""
