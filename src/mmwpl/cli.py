@@ -22,10 +22,9 @@ from .numformat import format_fixed
 from .synthesis import DEFAULT_SEED, SynthesisSpec, synthesize
 from .taxonomy import (
     Dataset,
-    Environment,
-    Layout,
     PolarizationClass,
     ScenarioKey,
+    parse_scenario,
     partition_by_scenario,
 )
 
@@ -35,43 +34,6 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _FIT_CHOICES = ("auto", *(family.lower() for family in fitting.FIT_FAMILIES))
-
-_ENV_TOKENS = {"los": Environment.LOS, "nlos": Environment.NLOS}
-_LAYOUT_TOKENS = {
-    "co": Layout.CORRIDOR,
-    "corridor": Layout.CORRIDOR,
-    "op": Layout.OPEN_PLAN,
-    "open-plan": Layout.OPEN_PLAN,
-    "cp": Layout.CLOSED_PLAN,
-    "closed-plan": Layout.CLOSED_PLAN,
-}
-_POL_TOKENS = {
-    "vv": PolarizationClass.VV,
-    "v-v": PolarizationClass.VV,
-    "vh": PolarizationClass.VH,
-    "v-h": PolarizationClass.VH,
-    "comb": PolarizationClass.COMBINED,
-    "combined": PolarizationClass.COMBINED,
-}
-
-
-def _parse_scenario(text: str, need_pol: bool = False):
-    """Parse ENV:LAYOUT[:POL], e.g. NLOS:CP or los:corridor:vv."""
-    parts = [p.strip().lower() for p in text.split(":")]
-    if len(parts) not in (2, 3):
-        raise UsageError(f"scenario {text!r} must be ENV:LAYOUT or ENV:LAYOUT:POL")
-    if parts[0] not in _ENV_TOKENS:
-        raise UsageError(f"unknown environment {parts[0]!r} in scenario {text!r}")
-    if parts[1] not in _LAYOUT_TOKENS:
-        raise UsageError(f"unknown layout {parts[1]!r} in scenario {text!r}")
-    pol: Optional[PolarizationClass] = None
-    if len(parts) == 3:
-        if parts[2] not in _POL_TOKENS:
-            raise UsageError(f"unknown polarization {parts[2]!r} in scenario {text!r}")
-        pol = _POL_TOKENS[parts[2]]
-    if need_pol and pol is None:
-        raise UsageError(f"scenario {text!r} needs a polarization (ENV:LAYOUT:POL)")
-    return _ENV_TOKENS[parts[0]], _LAYOUT_TOKENS[parts[1]], pol
 
 
 def _parse_freq_blocks(text: str) -> tuple[tuple[float, int], ...]:
@@ -131,7 +93,7 @@ def _requested_families(spec: str) -> Optional[tuple[str, ...]]:
 
 def _cmd_fit(args) -> int:
     dataset = _load_dataset(args.input, args.mode)
-    selections = [_parse_scenario(text) for text in args.scenario] if args.scenario else None
+    selections = [parse_scenario(text) for text in args.scenario] if args.scenario else None
     families = _requested_families(args.families)
     report = fitting.fit_scenarios(dataset, selections, families, args.f0)
     if args.output:
@@ -153,8 +115,7 @@ def _resolve_model(args):
     report = dataio.read_params_json(args.params)
     scenario = None
     if args.scenario:
-        env, layout, pol = _parse_scenario(args.scenario, need_pol=True)
-        scenario = ScenarioKey(env, layout, pol)
+        scenario = ScenarioKey(*parse_scenario(args.scenario, need_pol=True))
     freq = ANY_FREQ
     if args.fit_freq is not None:
         try:
@@ -204,10 +165,10 @@ def _cmd_predict(args) -> int:
 
 def _cmd_synth(args) -> int:
     model = _resolve_model(args)
-    env, layout, pol = _parse_scenario(args.scenario, need_pol=True)
+    scenario = ScenarioKey(*parse_scenario(args.scenario, need_pol=True))
     spec = SynthesisSpec(
         model=model,
-        scenario=ScenarioKey(env, layout, pol),
+        scenario=scenario,
         frequencies=_parse_freq_blocks(args.freqs),
         distance_range_m=(args.dmin, args.dmax),
         seed=args.seed,
@@ -242,7 +203,7 @@ def _cmd_compare(args) -> int:
     dataset = _load_dataset(args.input, args.mode)
     label = "all samples"
     if args.scenario:
-        env, layout, pol = _parse_scenario(args.scenario)
+        env, layout, pol = parse_scenario(args.scenario)
         key = ScenarioKey(env, layout, pol if pol else PolarizationClass.COMBINED)
         dataset = partition_by_scenario(dataset, key)
         label = key.label()

@@ -44,12 +44,11 @@ from .errors import DataError
 from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from .report import FitReport, FitRow
 from .taxonomy import (
-    ENVIRONMENTS,
-    LAYOUTS,
-    POLARIZATIONS,
+    CODE,
     Dataset,
     Environment,
     Layout,
+    Polarization,
     PolarizationClass,
     ScenarioKey,
     sample_violations,
@@ -87,11 +86,11 @@ def _open_text(source: Source, mode: str):
 
 
 def _enum_of(token: str, enum_cls, what: str):
-    for member in enum_cls:
-        if member.value == token:
-            return member
-    valid = "/".join(m.value for m in enum_cls)
-    raise ValueError(f"unknown {what} token {token!r} (expected {valid})")
+    try:
+        return enum_cls(token)
+    except ValueError:
+        valid = "/".join(m.value for m in enum_cls)
+        raise ValueError(f"unknown {what} token {token!r} (expected {valid})") from None
 
 
 # lines or rows parsed per step: large enough for numpy to pay off, small
@@ -100,9 +99,9 @@ _CHUNK_ROWS = 4096
 
 _NUMERIC_COLUMNS = ("freq_ghz", "distance_m", "path_loss_db")
 _TOKEN_COLUMNS = (
-    ("polarization", POLARIZATIONS),
-    ("environment", ENVIRONMENTS),
-    ("layout", LAYOUTS),
+    ("polarization", Polarization),
+    ("environment", Environment),
+    ("layout", Layout),
 )
 
 
@@ -131,9 +130,9 @@ def _mapped(cells, memo: dict, convert, dtype) -> np.ndarray:
         return np.fromiter(map(memo.__getitem__, cells), dtype, len(cells))
 
 
-def _code_of(members):
+def _code_of(enum_cls):
     """A token cell's member code, -1 if it names no member."""
-    codes = {m.value: i for i, m in enumerate(members)}
+    codes = {m.value: CODE[m] for m in enum_cls}
     return lambda cell: codes.get(cell.strip(), -1)
 
 
@@ -152,9 +151,9 @@ def _row_problem(raw: list[str], at: dict[str, int]) -> str:
         values = [float(raw[at[c]]) for c in _NUMERIC_COLUMNS]
     except ValueError as exc:
         return f"unparseable numeric: {exc}"
-    for column, members in _TOKEN_COLUMNS:
+    for column, enum_cls in _TOKEN_COLUMNS:
         try:
-            _enum_of(raw[at[column]].strip(), members, column)
+            _enum_of(raw[at[column]].strip(), enum_cls, column)
         except ValueError as exc:
             return str(exc)
     return "; ".join(sample_violations(*(np.array([v]) for v in values))[0])
@@ -172,8 +171,8 @@ def _parse_chunk(cells: list, numbers: np.ndarray, rejected: list[SkippedRow],
     """
     floats = [_floats(cells[at[column]]) for column in _NUMERIC_COLUMNS]
     freq, dist, pl = (values for values, _ in floats)
-    codes = [_mapped(cells[at[column]], memos.setdefault(column, {}), _code_of(members), np.int8)
-             for column, members in _TOKEN_COLUMNS]
+    codes = [_mapped(cells[at[column]], memos.setdefault(column, {}), _code_of(enum_cls), np.int8)
+             for column, enum_cls in _TOKEN_COLUMNS]
     bad = np.logical_or.reduce([unparsed for _, unparsed in floats] + [c < 0 for c in codes])
     bad[list(sample_violations(freq, dist, pl))] = True
     found = []
@@ -351,7 +350,7 @@ def _label_cells(labels: list, memo: dict) -> Iterator[str]:
 
 def write_csv(dataset: Dataset, dest: Source) -> None:
     """Write a dataset in the fixed schema; floats keep full precision."""
-    tokens = [[m.value for m in members] for _, members in _TOKEN_COLUMNS]
+    tokens = [[m.value for m in enum_cls] for _, enum_cls in _TOKEN_COLUMNS]
     labels: dict = {}
     stream, owned = _open_text(dest, "w")
     try:
@@ -461,6 +460,8 @@ def _row_from_json(obj: dict) -> FitRow:
             n_samples=obj.get("n_samples"),
             source=obj.get("source", ""),
         )
+    except DataError:  # _params_from_fields' error, already prefixed
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad report row: {exc}") from None
 

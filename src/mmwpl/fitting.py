@@ -31,17 +31,15 @@ from .models import (
 from .numformat import round_half_away
 from .report import FitReport, FitRow
 from .taxonomy import (
+    CODE,
     ENVIRONMENTS,
     LAYOUTS,
-    MEASURED_PAIRS,
-    POLARIZATIONS,
     Dataset,
-    Environment,
-    Layout,
     Polarization,
     PolarizationClass,
     ScenarioKey,
     ensure_fit_ready,
+    ordered_pairs,
 )
 
 # pivot threshold, scaled by the largest absolute entry of the normal matrix
@@ -303,11 +301,6 @@ def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
 FIT_FAMILIES = ("CI", "FI", "ABG", "CIF")
 _SINGLE_FREQ_FAMILIES = ("CI", "FI")
 _MULTI_FREQ_FAMILIES = ("CI", "CIF", "ABG")
-_POL_ORDER = (PolarizationClass.VV, PolarizationClass.VH, PolarizationClass.COMBINED)
-_POL_CODES = {
-    PolarizationClass.VV: POLARIZATIONS.index(Polarization.VV),
-    PolarizationClass.VH: POLARIZATIONS.index(Polarization.VH),
-}
 
 _KERNELS = {
     "CI": lambda t, f0: _ci(t),
@@ -315,19 +308,6 @@ _KERNELS = {
     "ABG": lambda t, f0: _abg(t),
     "CIF": _cif,
 }
-
-
-def _data_pairs(pair_code: np.ndarray) -> list[tuple[Environment, Layout]]:
-    """(environment, layout) pairs present: measured order first, then the
-    others in order of first appearance."""
-    codes, first = np.unique(pair_code, return_index=True)
-    present = [
-        (ENVIRONMENTS[code // len(LAYOUTS)], LAYOUTS[code % len(LAYOUTS)])
-        for code in codes[np.argsort(first)].tolist()
-    ]
-    ordered = [p for p in MEASURED_PAIRS if p in present]
-    ordered.extend(p for p in present if p not in ordered)
-    return ordered
 
 
 def _fit_families(t, key, freq_tag, families, f0_ghz, source, rows, bases):
@@ -398,17 +378,19 @@ def fit_scenarios(
         ensure_fit_ready(dataset, "fit_scenarios")
     pair_code = dataset.env * len(LAYOUTS) + dataset.layout
     if selections is None:
-        selections = [(env, layout, None) for env, layout in _data_pairs(pair_code)]
+        codes, first = np.unique(pair_code, return_index=True)
+        present = (divmod(code, len(LAYOUTS)) for code in codes[np.argsort(first)].tolist())
+        selections = [(env, layout, None) for env, layout
+                      in ordered_pairs((ENVIRONMENTS[e], LAYOUTS[lo]) for e, lo in present)]
     rows: list[FitRow] = []
     bases: dict = {}
     for env, layout, pol_filter in selections:
-        group = np.flatnonzero(pair_code == ENVIRONMENTS.index(env) * len(LAYOUTS)
-                               + LAYOUTS.index(layout))
+        group = np.flatnonzero(pair_code == CODE[env] * len(LAYOUTS) + CODE[layout])
         if group.size == 0:
             continue
         pol = dataset.pol[group]
         terms = _Terms.of(dataset.freq[group], dataset.dist[group], dataset.pl[group])
-        for pol_class in _POL_ORDER:
+        for pol_class in PolarizationClass:
             if pol_filter is not None and pol_class is not pol_filter:
                 continue
             if pol_class is PolarizationClass.COMBINED:
@@ -416,7 +398,7 @@ def fit_scenarios(
                     continue  # combined duplicates a lone polarization
                 part = terms
             else:
-                index = np.flatnonzero(pol == _POL_CODES[pol_class])
+                index = np.flatnonzero(pol == CODE[Polarization(pol_class.value)])
                 if index.size == 0:
                     continue
                 part = terms.take(index)

@@ -6,13 +6,22 @@ resolve ties away from zero, so all user-facing rounding goes through
 these helpers instead.
 """
 
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
+
+# Quantizing to d places needs the value's integer digits (up to 309 for a
+# finite float) plus d, more than the default context's 28 digits.
+_WIDE = Context(prec=MAX_PREC)
+
+
+def _quantized(value: float, decimals: int) -> Decimal:
+    """value rounded to ``decimals`` places, ties away from zero."""
+    quantum = Decimal(1).scaleb(-decimals)
+    return Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP, context=_WIDE)
 
 
 def round_half_away(value: float, decimals: int = 0) -> float:
     """Round to ``decimals`` places with ties going away from zero."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(_quantized(value, decimals))
 
 
 def format_fixed(value: float, decimals: int) -> str:
@@ -20,8 +29,7 @@ def format_fixed(value: float, decimals: int) -> str:
 
     A value that rounds to zero is printed unsigned, never "-0.0".
     """
-    quantum = Decimal(1).scaleb(-decimals)
-    quantized = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    quantized = _quantized(value, decimals)
     if quantized == 0:
         quantized = abs(quantized)
     return f"{quantized:.{decimals}f}"

@@ -15,8 +15,9 @@ recomputed from the sigma pair on demand.
 Selectors narrow a catalog for the CLI: `table3:28:VV:LOS:CO` picks one
 scenario, `table5:nlos-cp` one environment/layout block. Tokens may name
 a frequency in GHz ("28", "73"), "multi" for multi-frequency rows, a
-polarization class (VV, VH, Comb), an environment (LOS, NLOS), a layout
-(CO, OP, CP), or a fused environment-layout pair ("nlos-cp").
+polarization class, an environment or a layout (any token of the
+taxonomy's token tables, such as VV, Comb., LOS or CO), or a fused
+environment-layout pair ("nlos-cp").
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from typing import Optional
 from .errors import UsageError
 from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from .report import FitReport, FitRow
-from .taxonomy import Environment, Layout, PolarizationClass, ScenarioKey
+from .taxonomy import (
+    ENV_TOKENS,
+    LAYOUT_TOKENS,
+    POL_TOKENS,
+    Environment,
+    Layout,
+    PolarizationClass,
+    ScenarioKey,
+)
 
 PRESETS_VERSION = "1"
 
@@ -240,20 +249,6 @@ _CATALOG_BUILDERS = {
 
 PRESET_TABLES = tuple(_CATALOG_BUILDERS)
 
-_POL_TOKENS = {
-    "vv": _P.VV, "v-v": _P.VV,
-    "vh": _P.VH, "v-h": _P.VH,
-    "comb": _P.COMBINED, "comb.": _P.COMBINED, "combined": _P.COMBINED,
-}
-
-_ENV_TOKENS = {"los": _E.LOS, "nlos": _E.NLOS}
-
-_LAYOUT_TOKENS = {
-    "co": _L.CORRIDOR, "corridor": _L.CORRIDOR,
-    "op": _L.OPEN_PLAN, "open-plan": _L.OPEN_PLAN,
-    "cp": _L.CLOSED_PLAN, "closed-plan": _L.CLOSED_PLAN,
-}
-
 
 class _Selector:
     def __init__(self, table: str):
@@ -280,14 +275,14 @@ def _parse_selector(selector: str) -> _Selector:
         if low == "multi":
             sel.multi = True
             continue
-        if low in _POL_TOKENS:
-            sel.pol = _POL_TOKENS[low]
+        if low in POL_TOKENS:
+            sel.pol = POL_TOKENS[low]
             continue
-        if low in _ENV_TOKENS:
-            sel.env = _ENV_TOKENS[low]
+        if low in ENV_TOKENS:
+            sel.env = ENV_TOKENS[low]
             continue
-        if low in _LAYOUT_TOKENS:
-            sel.layout = _LAYOUT_TOKENS[low]
+        if low in LAYOUT_TOKENS:
+            sel.layout = LAYOUT_TOKENS[low]
             continue
         try:
             sel.freq = float(low)
@@ -296,9 +291,9 @@ def _parse_selector(selector: str) -> _Selector:
             pass
         # fused environment-layout form, e.g. "nlos-cp"
         head, sep, tail = low.partition("-")
-        if sep and head in _ENV_TOKENS and tail in _LAYOUT_TOKENS:
-            sel.env = _ENV_TOKENS[head]
-            sel.layout = _LAYOUT_TOKENS[tail]
+        if sep and head in ENV_TOKENS and tail in LAYOUT_TOKENS:
+            sel.env = ENV_TOKENS[head]
+            sel.layout = LAYOUT_TOKENS[tail]
             continue
         raise UsageError(
             f"unknown preset selector token {token!r} in {selector!r}; tokens may be "

@@ -22,32 +22,21 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
-from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
+from .models import AbgParams, CifParams, CiParams, XpdExtension
 from .numformat import format_fixed
 from .taxonomy import (
-    MEASURED_PAIRS,
+    LABELS,
     Environment,
     Layout,
     PolarizationClass,
     ScenarioKey,
+    ordered_pairs,
 )
 
 TABLE_STYLES = ("table3", "table4", "table5", "table6")
 
 # slack below which a negative sigma gap is attributed to rounding
 DELTA_SIGMA_SLACK_DB = 0.05
-
-_POL_LABELS = {
-    PolarizationClass.VV: "V-V",
-    PolarizationClass.VH: "V-H",
-    PolarizationClass.COMBINED: "Comb.",
-}
-
-_LAYOUT_LABELS = {
-    Layout.CORRIDOR: "co",
-    Layout.OPEN_PLAN: "op",
-    Layout.CLOSED_PLAN: "cp",
-}
 
 
 class _Wildcard(enum.Enum):
@@ -173,14 +162,8 @@ def _report_freqs(report: FitReport) -> list[float]:
 
 
 def _grid_pairs(report: FitReport) -> list[tuple[Environment, Layout]]:
-    """Environment/layout pairs to render: the measured grid first, then any
-    extra pairs present in the report, in row order."""
-    pairs = list(MEASURED_PAIRS)
-    for row in report.rows:
-        pair = (row.scenario.environment, row.scenario.layout)
-        if pair not in pairs:
-            pairs.append(pair)
-    return pairs
+    """Environment/layout pairs to render, measured pairs first."""
+    return ordered_pairs((row.scenario.environment, row.scenario.layout) for row in report.rows)
 
 
 def _render(headers: list[str], body: list[list[str]]) -> str:
@@ -196,16 +179,16 @@ def _render(headers: list[str], body: list[list[str]]) -> str:
 
 
 def _table3_body(report: FitReport) -> list[list[str]]:
-    body = []
+    body, pairs = [], _grid_pairs(report)
     for freq in _report_freqs(report):
         for pol in PolarizationClass:
-            for env, layout in _grid_pairs(report):
+            for env, layout in pairs:
                 key = ScenarioKey(env, layout, pol)
                 ci = report.find("CI", key, freq)
                 fi = report.find("FI", key, freq)
                 if not ci and not fi:
                     continue
-                cells = [_freq_label(freq), _POL_LABELS[pol], env.value, _LAYOUT_LABELS[layout]]
+                cells = [_freq_label(freq), LABELS[pol], LABELS[env], LABELS[layout]]
                 cells.append(_fmt(ci[0].params.ple_n if ci else None, 1))
                 cells.append(_fmt(ci[0].sigma_db if ci else None, 1))
                 cells.append(_fmt(fi[0].params.alpha_db if fi else None, 1))
@@ -223,9 +206,9 @@ def _table3_body(report: FitReport) -> list[list[str]]:
 
 
 def _table4_body(report: FitReport) -> list[list[str]]:
-    body = []
+    body, pairs = [], _grid_pairs(report)
     for freq in _report_freqs(report):
-        for env, layout in _grid_pairs(report):
+        for env, layout in pairs:
             key = ScenarioKey(env, layout, PolarizationClass.VH)
             rows = report.find("CIX", key, freq)
             if not rows:
@@ -234,9 +217,9 @@ def _table4_body(report: FitReport) -> list[list[str]]:
             body.append(
                 [
                     _freq_label(freq),
-                    _POL_LABELS[PolarizationClass.VH],
-                    env.value,
-                    _LAYOUT_LABELS[layout],
+                    LABELS[PolarizationClass.VH],
+                    LABELS[env],
+                    LABELS[layout],
                     _fmt(ext.base.ple_n, 1),
                     _fmt(ext.xpd_db, 1),
                     _fmt(rows[0].sigma_db, 1),
@@ -278,10 +261,10 @@ def _table5_body(report: FitReport) -> list[list[str]]:
             xpd = params.xpd_db if isinstance(params, XpdExtension) else None
             body.append(
                 [
-                    env.value,
-                    _LAYOUT_LABELS[layout],
+                    LABELS[env],
+                    LABELS[layout],
                     family,
-                    _POL_LABELS[pol],
+                    LABELS[pol],
                     *_family_param_cells(params),
                     _fmt(xpd, 1),
                     _fmt(rows[0].sigma_db, 1),
@@ -291,9 +274,9 @@ def _table5_body(report: FitReport) -> list[list[str]]:
 
 
 def _table6_body(report: FitReport) -> list[list[str]]:
-    body = []
+    body, pairs = [], _grid_pairs(report)
     for family in ("CI", "CIF", "ABG"):
-        for env, layout in _grid_pairs(report):
+        for env, layout in pairs:
             key = ScenarioKey(env, layout, PolarizationClass.COMBINED)
             rows = report.find(family, key, None)
             if not rows:
@@ -301,8 +284,8 @@ def _table6_body(report: FitReport) -> list[list[str]]:
             body.append(
                 [
                     family,
-                    env.value,
-                    _LAYOUT_LABELS[layout],
+                    LABELS[env],
+                    LABELS[layout],
                     *_family_param_cells(rows[0].params),
                     _fmt(rows[0].sigma_db, 1),
                 ]

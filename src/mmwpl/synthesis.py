@@ -18,14 +18,13 @@ import numpy as np
 from .errors import DataError, DomainError
 from .models import PathLossModel, predict
 from .taxonomy import (
-    ENVIRONMENTS,
-    LAYOUTS,
+    CODE,
     MIN_DISTANCE_M,
-    POLARIZATIONS,
     Dataset,
     Polarization,
     PolarizationClass,
     ScenarioKey,
+    ensure_fit_ready,
 )
 
 DEFAULT_SEED = 0
@@ -52,6 +51,8 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     Identical specs give identical datasets. The scenario must name a
     concrete polarization (VV or VH): samples always carry a single
     polarization, so the Combined class cannot be synthesized directly.
+    A drawn sample that breaks the invariants read_csv applies, such as a
+    non-positive path loss, raises DataError, naming the first one.
     """
     if spec.scenario.polarization_class is PolarizationClass.COMBINED:
         raise DataError(
@@ -89,14 +90,18 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
         distances.append(block)
         losses.append(np.asarray(mean, dtype=float) + fading)
     n = sum(map(len, freqs))
-    return Dataset.from_columns(
+    dataset = Dataset.from_columns(
         np.concatenate(freqs),
         np.concatenate(distances),
         np.concatenate(losses),
-        np.full(n, POLARIZATIONS.index(polarization), np.int8),
-        np.full(n, ENVIRONMENTS.index(spec.scenario.environment), np.int8),
-        np.full(n, LAYOUTS.index(spec.scenario.layout), np.int8),
+        np.full(n, CODE[polarization], np.int8),
+        np.full(n, CODE[spec.scenario.environment], np.int8),
+        np.full(n, CODE[spec.scenario.layout], np.int8),
         np.full(n, None, object),
         np.full(n, None, object),
         provenance=f"synth(seed={spec.seed})",
     )
+    # the dataset holds copies of the blocks: free them before the check
+    del freqs, distances, losses
+    ensure_fit_ready(dataset, "synthesize")
+    return dataset

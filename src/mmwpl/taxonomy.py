@@ -1,4 +1,4 @@
-"""Measurement data model: samples, datasets, and scenario partitioning.
+"""Measurement data model: samples, datasets, scenario partitioning and vocabulary.
 
 Units are fixed package-wide: frequency in GHz, distance in meters, path
 loss in dB. A scenario is the triple (environment, layout, polarization
@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 MIN_DISTANCE_M = 1.0  # close-in reference distance; the models are undefined below it
 
@@ -143,12 +143,71 @@ def measured_scenarios() -> tuple[ScenarioKey, ...]:
     )
 
 
+# The label a comparison table prints for each environment, layout and
+# polarization class.
+LABELS = {
+    Environment.LOS: "LOS",
+    Environment.NLOS: "NLOS",
+    Layout.CORRIDOR: "co",
+    Layout.OPEN_PLAN: "op",
+    Layout.CLOSED_PLAN: "cp",
+    PolarizationClass.VV: "V-V",
+    PolarizationClass.VH: "V-H",
+    PolarizationClass.COMBINED: "Comb.",
+}
+
+
+def _tokens(members) -> dict:
+    """Lower-case tokens naming each member: its value, its name with _ as -,
+    and its table label."""
+    return {token.lower(): m for m in members
+            for token in (m.value, m.name.replace("_", "-"), LABELS[m])}
+
+
+# The tokens the CLI's --scenario and the preset selectors accept, lower case.
+ENV_TOKENS = _tokens(Environment)
+LAYOUT_TOKENS = _tokens(Layout)
+POL_TOKENS = _tokens(PolarizationClass)
+
+
+def parse_scenario(text: str, need_pol: bool = False):
+    """Parse ENV:LAYOUT[:POL], e.g. NLOS:CP or los:corridor:vv, case-insensitive.
+
+    Returns (Environment, Layout, PolarizationClass or None); raises
+    UsageError on a malformed scenario, or one without a polarization when
+    need_pol is set.
+    """
+    parts = [p.strip().lower() for p in text.split(":")]
+    if len(parts) not in (2, 3):
+        raise UsageError(f"scenario {text!r} must be ENV:LAYOUT or ENV:LAYOUT:POL")
+    if parts[0] not in ENV_TOKENS:
+        raise UsageError(f"unknown environment {parts[0]!r} in scenario {text!r}")
+    if parts[1] not in LAYOUT_TOKENS:
+        raise UsageError(f"unknown layout {parts[1]!r} in scenario {text!r}")
+    pol: Optional[PolarizationClass] = None
+    if len(parts) == 3:
+        if parts[2] not in POL_TOKENS:
+            raise UsageError(f"unknown polarization {parts[2]!r} in scenario {text!r}")
+        pol = POL_TOKENS[parts[2]]
+    if need_pol and pol is None:
+        raise UsageError(f"scenario {text!r} needs a polarization (ENV:LAYOUT:POL)")
+    return ENV_TOKENS[parts[0]], LAYOUT_TOKENS[parts[1]], pol
+
+
+def ordered_pairs(present: Iterable[tuple[Environment, Layout]]) -> list[tuple[Environment, Layout]]:
+    """The distinct (environment, layout) pairs of present: the measured
+    pairs first, in MEASURED_PAIRS order, then the others in order of
+    appearance."""
+    seen = dict.fromkeys(present)
+    return [p for p in MEASURED_PAIRS if p in seen] + [p for p in seen if p not in MEASURED_PAIRS]
+
+
 # Column codes: a member's code is its position in its enum's definition order.
 POLARIZATIONS: tuple[Polarization, ...] = tuple(Polarization)
 ENVIRONMENTS: tuple[Environment, ...] = tuple(Environment)
 LAYOUTS: tuple[Layout, ...] = tuple(Layout)
-_CODE = {m: i for members in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)
-         for i, m in enumerate(members)}
+CODE = {m: i for members in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)
+        for i, m in enumerate(members)}
 
 _COLUMN_DTYPES = {
     "freq": np.float64,
@@ -182,9 +241,9 @@ class Dataset:
             [s.frequency_ghz for s in rows],
             [s.distance_m for s in rows],
             [s.path_loss_db for s in rows],
-            [_CODE[s.polarization] for s in rows],
-            [_CODE[s.environment] for s in rows],
-            [_CODE[s.layout] for s in rows],
+            [CODE[s.polarization] for s in rows],
+            [CODE[s.environment] for s in rows],
+            [CODE[s.layout] for s in rows],
             [s.tx_id for s in rows],
             [s.rx_id for s in rows],
         )
@@ -273,8 +332,8 @@ def partition_by_scenario(dataset: Dataset, key: ScenarioKey) -> Dataset:
     """
     wanted = np.array([key.polarization_class.matches(p) for p in POLARIZATIONS])
     mask = (
-        (dataset.env == _CODE[key.environment])
-        & (dataset.layout == _CODE[key.layout])
+        (dataset.env == CODE[key.environment])
+        & (dataset.layout == CODE[key.layout])
         & wanted[dataset.pol]
     )
     prov = f"{dataset.provenance}[{key.label()}]" if dataset.provenance else key.label()

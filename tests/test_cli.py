@@ -570,3 +570,76 @@ class TestPredictFuzz:
         assert code in (0, 2, 3, 4)
         assert caught == []
         assert "Warning" not in err
+
+
+class TestScenarioVocabulary:
+    @pytest.mark.parametrize("scenario, message", [
+        ("NLOS", "scenario 'NLOS' must be ENV:LAYOUT or ENV:LAYOUT:POL"),
+        ("NLOS:CO:VV:x", "scenario 'NLOS:CO:VV:x' must be ENV:LAYOUT or ENV:LAYOUT:POL"),
+        ("XLOS:CO", "unknown environment 'xlos' in scenario 'XLOS:CO'"),
+        ("NLOS: Hall ", "unknown layout 'hall' in scenario 'NLOS: Hall '"),
+        ("NLOS:CO:HH", "unknown polarization 'hh' in scenario 'NLOS:CO:HH'"),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_usage_errors_are_pinned(self, clean_ci_csv, command, scenario, message):
+        code, out, err, _ = run_main([command, "--input", clean_ci_csv,
+                                      "--scenario", scenario])
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["synth", "predict"])
+    def test_missing_polarization_is_pinned(self, tmp_path, command):
+        path = params_file(tmp_path, lambda rows: None)
+        argv = [command, "--params", path, "--model", "CI", "--scenario", "NLOS:CO"]
+        argv += ["--freqs", "28:5"] if command == "synth" else ["--f", "28", "--d", "5"]
+        code, out, err, _ = run_main(argv)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: scenario 'NLOS:CO' needs a polarization "
+                       "(ENV:LAYOUT:POL)\n")
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_combined_table_label_is_accepted(self, tmp_path, command):
+        los_co = ScenarioKey(Environment.LOS, Layout.CORRIDOR, PolarizationClass.VV)
+        vv = synthesize(SynthesisSpec(CiParams(1.7, 2.0), los_co, ((28.0, 20),),
+                                      (3.9, 45.9), seed=3))
+        vh = synthesize(SynthesisSpec(CiParams(2.4, 2.0), dataclasses.replace(
+            los_co, polarization_class=PolarizationClass.VH), ((28.0, 20),), (3.9, 45.9),
+            seed=4))
+        path = tmp_path / "los_co.csv"
+        dataio.write_csv(Dataset(vv.samples + vh.samples), path)
+        results = [run_main([command, "--input", str(path), "--scenario", scenario])
+                   for scenario in ("los:co:comb.", "LOS:CO:Comb")]
+        assert results[0][0] == 0
+        assert results[0] == results[1]
+        assert "Comb" in results[0][1]
+
+
+class TestSynthChecksItsRows:
+    def test_negative_path_loss_is_data(self):
+        code, out, err, caught = run_main(["synth", "--preset", "table5:nlos-cp",
+                                           "--model", "CIF", "--scenario", "nlos:cp:vv",
+                                           "--freqs", "0.001:3"])
+        assert (code, out, caught) == (3, "", [])
+        assert err == ("data error: synthesize: 2 invalid sample(s), first at index 1: "
+                       "path loss must be positive\n")
+
+
+class TestHugeValues:
+    def test_report_prints_a_huge_exponent(self, tmp_path):
+        path = params_file(tmp_path, set_param(0, "n", 1e308))
+        code, out, err, caught = run_main(["report", "--params", path, "--style", "table3"])
+        assert (code, err, caught) == (0, "", [])
+        assert "1" + "0" * 308 + ".0" in out
+
+    def test_fit_at_huge_frequencies(self, tmp_path):
+        path = tmp_path / "big.csv"
+        rows = ["1e30,5,900,VV,NLOS,CO", "1e30,10,910,VV,NLOS,CO",
+                "2e30,5,905,VV,NLOS,CO", "2e30,20,930,VV,NLOS,CO"]
+        header = ",".join(dataio.CSV_COLUMNS[:6])
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        out_path = tmp_path / "p.json"
+        code, out, err, caught = run_main(["fit", "--input", str(path),
+                                           "--output", str(out_path)])
+        assert (code, err, caught) == (0, "", [])
+        assert "1500000000000000200000000000000" in out  # CIF f0 in whole GHz
+        cif = dataio.read_params_json(str(out_path)).single("CIF", freq_ghz=None)
+        assert cif.params.f0_ghz == np.mean([1e30, 1e30, 2e30, 2e30])  # already whole

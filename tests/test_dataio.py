@@ -548,6 +548,13 @@ class TestParamsJson:
         with pytest.raises(DataError, match="JSON"):
             read_params_json(io.StringIO("not json"))
 
+    def test_bad_parameter_message_is_prefixed_once(self):
+        text = dumps_params(demo_report()).replace('"sigma_db": 0.7', '"sigma_db": -0.7')
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(text))
+        assert str(info.value) == ("read_params_json: bad parameter object: "
+                                   "sigma_db must be finite and non-negative")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "params.json"
         write_params_json(demo_report(), str(path))

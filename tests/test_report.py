@@ -121,6 +121,15 @@ class TestNumberFormatting:
         assert round_half_away(61.75, 0) == 62.0
         assert round_half_away(2.25, 1) == 2.3
 
+    @pytest.mark.parametrize("value", [1e27, 1e308, -1.7976931348623157e308, 5e-324])
+    def test_any_finite_float(self, value):
+        for decimals in (0, 1, 2):
+            text = format_fixed(value, decimals)
+            assert float(text) == pytest.approx(value, abs=10.0 ** -decimals)
+            assert round_half_away(value, decimals) == pytest.approx(value, abs=10.0 ** -decimals)
+        assert format_fixed(1e30, 1) == "1" + "0" * 30 + ".0"
+        assert round_half_away(1.5e30) == 1.5e30
+
 
 def scan(report, family=None, scenario=None, freq_ghz=ANY_FREQ):
     """FitReport.find as a plain linear scan over the rows."""

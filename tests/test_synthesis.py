@@ -126,6 +126,13 @@ def test_rejects_bad_counts_and_frequencies():
         synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, True),)))
 
 
+@pytest.mark.parametrize("freq", [0.001, 1e-320])
+def test_rejects_draws_that_break_the_sample_invariants(freq):
+    # a near-zero frequency puts the mean below 0 dB, a loss read_csv refuses
+    with pytest.raises(DataError, match="path loss must be positive"):
+        synthesize(spec(CiParams(2.0, 0.0), freqs=((freq, 5),)))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "7"])
 def test_rejects_bad_seeds(seed):
     with pytest.raises(DataError, match="seed"):

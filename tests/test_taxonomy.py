@@ -6,9 +6,16 @@ import random
 
 import pytest
 
-from mmwpl.errors import DataError
+from mmwpl import cli, presets
+from mmwpl.errors import DataError, UsageError
+from mmwpl.report import TABLE_STYLES, render_table
 from mmwpl.taxonomy import (
+    CODE,
+    ENV_TOKENS,
+    LABELS,
+    LAYOUT_TOKENS,
     MEASURED_PAIRS,
+    POL_TOKENS,
     Dataset,
     Environment,
     Layout,
@@ -18,6 +25,8 @@ from mmwpl.taxonomy import (
     ScenarioKey,
     ensure_fit_ready,
     measured_scenarios,
+    ordered_pairs,
+    parse_scenario,
     partition_by_scenario,
     validate_sample,
 )
@@ -205,3 +214,59 @@ class TestDataset:
         ds = Dataset((sample(), sample(dist=0.5), sample(loss=-1.0)))
         with pytest.raises(DataError, match="index 1"):
             ensure_fit_ready(ds, "op")
+
+
+class TestVocabulary:
+    def test_token_sets(self):
+        assert set(ENV_TOKENS) == {"los", "nlos"}
+        assert set(LAYOUT_TOKENS) == {"co", "corridor", "op", "open-plan", "cp", "closed-plan"}
+        assert set(POL_TOKENS) == {"vv", "v-v", "vh", "v-h", "comb", "comb.", "combined"}
+
+    def test_each_member_by_value_name_and_label(self):
+        for tokens, members in ((ENV_TOKENS, Environment), (LAYOUT_TOKENS, Layout),
+                                (POL_TOKENS, PolarizationClass)):
+            for m in members:
+                for text in (m.value, m.name.replace("_", "-"), LABELS[m]):
+                    assert tokens[text.lower()] is m
+
+    def test_cli_and_presets_share_the_tables(self):
+        assert cli.parse_scenario is parse_scenario
+        assert presets.ENV_TOKENS is ENV_TOKENS
+        assert presets.LAYOUT_TOKENS is LAYOUT_TOKENS
+        assert presets.POL_TOKENS is POL_TOKENS
+
+    def test_parse_scenario(self):
+        assert parse_scenario(" NLOS : corridor ") == (Environment.NLOS, Layout.CORRIDOR, None)
+        assert parse_scenario("los:OP:Comb.", need_pol=True) == (
+            Environment.LOS, Layout.OPEN_PLAN, PolarizationClass.COMBINED)
+        with pytest.raises(UsageError, match="needs a polarization"):
+            parse_scenario("los:op", need_pol=True)
+        for key in measured_scenarios():
+            assert ScenarioKey(*parse_scenario(key.label())) == key
+
+    @pytest.mark.parametrize("style", TABLE_STYLES)
+    def test_every_printed_label_reads_back(self, style):
+        report = presets.preset_report(style)
+        header, _, *body = render_table(report, style).splitlines()
+        columns = [cell.strip() for cell in header.split("|")]
+        scenarios = set()
+        for line in body:
+            cells = dict(zip(columns, (cell.strip() for cell in line.split("|"))))
+            env, layout, pol = parse_scenario(f"{cells['Env']}:{cells['L/O']}:"
+                                              f"{cells.get('Pol', 'Comb.')}")
+            assert (LABELS[env], LABELS[layout], LABELS[pol]) == (
+                cells["Env"], cells["L/O"], cells.get("Pol", "Comb."))
+            scenarios.add(ScenarioKey(env, layout, pol))
+        assert scenarios == {row.scenario for row in report.rows}
+
+    def test_codes_are_definition_positions(self):
+        for members in (Polarization, Environment, Layout):
+            assert [CODE[m] for m in members] == list(range(len(members)))
+
+    def test_ordered_pairs(self):
+        los_cp = (Environment.LOS, Layout.CLOSED_PLAN)
+        nlos_cp, los_co = MEASURED_PAIRS[4], MEASURED_PAIRS[0]
+        assert ordered_pairs([los_cp, nlos_cp, los_co, los_cp, nlos_cp]) == [
+            los_co, nlos_cp, los_cp]
+        assert ordered_pairs(reversed(MEASURED_PAIRS)) == list(MEASURED_PAIRS)
+        assert ordered_pairs([]) == []
