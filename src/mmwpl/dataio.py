@@ -26,6 +26,8 @@ a double quote, \r or \n) and end every line in \n.
 
 Parameters travel as JSON with a schema_version field, fixed key order,
 and repr-roundtrip floats, so write -> read -> write is byte-identical.
+dumps_params writes the text itself, byte for byte what json.dumps(doc,
+indent=2) gives for the document.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ import io
 import json
 import math
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import DataError
-from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
+from .models import XPD_BASE_FAMILIES, AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from .report import FitReport, FitRow
 from .taxonomy import (
     CODE,
@@ -369,27 +372,6 @@ def write_csv(dataset: Dataset, dest: Source) -> None:
             stream.close()
 
 
-def _params_fields(params) -> dict:
-    if isinstance(params, CiParams):
-        return {"model": "CI", "n": params.ple_n, "sigma_db": params.sigma_db,
-                "d0_m": params.d0_m}
-    if isinstance(params, FiParams):
-        return {"model": "FI", "alpha_db": params.alpha_db, "beta": params.beta_slope,
-                "sigma_db": params.sigma_db}
-    if isinstance(params, AbgParams):
-        return {"model": "ABG", "alpha": params.alpha_dist, "beta_db": params.beta_db,
-                "gamma": params.gamma_freq, "sigma_db": params.sigma_db,
-                "d0_m": params.d0_m}
-    if isinstance(params, CifParams):
-        return {"model": "CIF", "n": params.n, "b": params.b,
-                "f0_ghz": params.f0_ghz, "sigma_db": params.sigma_db,
-                "d0_m": params.d0_m}
-    if isinstance(params, XpdExtension):
-        return {"model": params.family, "base": _params_fields(params.base),
-                "xpd_db": params.xpd_db, "sigma_db": params.sigma_db}
-    raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
-
-
 def _finite(value, what: str):
     """A JSON number that is finite; NaN, Infinity, strings and booleans raise."""
     try:
@@ -400,27 +382,39 @@ def _finite(value, what: str):
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
+# each family's class and JSON fields, in constructor (and dataclass field)
+# order; d0_m may be absent and reads as the 1 m reference
+_PARAM_FIELDS = {
+    "CI": (CiParams, ("n", "sigma_db", "d0_m")),
+    "FI": (FiParams, ("alpha_db", "beta", "sigma_db")),
+    "ABG": (AbgParams, ("alpha", "beta_db", "gamma", "sigma_db", "d0_m")),
+    "CIF": (CifParams, ("n", "b", "f0_ghz", "sigma_db", "d0_m")),
+    **{base + "X": (XpdExtension, ("base", "xpd_db", "sigma_db")) for base in XPD_BASE_FAMILIES},
+}
+
+
+def _params_fields(params) -> dict:
+    cls, names = _PARAM_FIELDS.get(getattr(params, "family", None), (None, ()))
+    if cls is None or not isinstance(params, cls):
+        raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
+    fields = zip(names, vars(params).values())
+    return {"model": params.family,
+            **{name: _params_fields(v) if name == "base" else v for name, v in fields}}
+
+
 def _params_from_fields(obj: dict):
     try:
         model = obj["model"]
-
-        def num(name, default=None):
-            value = obj[name] if default is None else obj.get(name, default)
-            return _finite(value, f"{model} parameter {name}")
-
-        if model == "CI":
-            return CiParams(num("n"), num("sigma_db"), num("d0_m", 1.0))
-        if model == "FI":
-            return FiParams(num("alpha_db"), num("beta"), num("sigma_db"))
-        if model == "ABG":
-            return AbgParams(num("alpha"), num("beta_db"), num("gamma"),
-                             num("sigma_db"), num("d0_m", 1.0))
-        if model == "CIF":
-            return CifParams(num("n"), num("b"), num("f0_ghz"),
-                             num("sigma_db"), num("d0_m", 1.0))
-        if model in ("CIX", "ABGX", "CIFX"):
-            return XpdExtension(_params_from_fields(obj["base"]),
-                                num("xpd_db"), num("sigma_db"))
+        if isinstance(model, str) and model in _PARAM_FIELDS:
+            cls, names = _PARAM_FIELDS[model]
+            values = []
+            for name in names:
+                if name == "base":
+                    values.append(_params_from_fields(obj["base"]))
+                else:
+                    value = obj.get(name, 1.0) if name == "d0_m" else obj[name]
+                    values.append(_finite(value, f"{model} parameter {name}"))
+            return cls(*values)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad parameter object: {exc}") from None
     raise DataError(f"read_params_json: unknown model {obj.get('model')!r}")
@@ -441,38 +435,66 @@ def _row_to_json(row: FitRow) -> dict:
     }
 
 
-def _row_from_json(obj: dict) -> FitRow:
+def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
+    """One report row; scenarios memoizes the ScenarioKey of each token triple."""
     try:
         sc = obj["scenario"]
-        scenario = ScenarioKey(
-            _enum_of(sc["environment"], Environment, "environment"),
-            _enum_of(sc["layout"], Layout, "layout"),
-            _enum_of(sc["polarization"], PolarizationClass, "polarization class"),
-        )
+        try:
+            scenario = scenarios[sc["environment"], sc["layout"], sc["polarization"]]
+        except (KeyError, TypeError):  # first seen, or malformed: named below in field order
+            scenario = ScenarioKey(
+                _enum_of(sc["environment"], Environment, "environment"),
+                _enum_of(sc["layout"], Layout, "layout"),
+                _enum_of(sc["polarization"], PolarizationClass, "polarization class"),
+            )
+            scenarios[sc["environment"], sc["layout"], sc["polarization"]] = scenario
         family, freq = obj["model"], obj.get("freq_ghz")
         if not isinstance(family, str):
             raise TypeError(f"model must be a string, got {family!r}")
-        return FitRow(
-            family=family,
-            scenario=scenario,
-            params=_params_from_fields(obj["params"]),
-            freq_ghz=None if freq is None else _finite(freq, "freq_ghz"),
-            n_samples=obj.get("n_samples"),
-            source=obj.get("source", ""),
-        )
+        params = _params_from_fields(obj["params"])
+        freq_ghz = None if freq is None else _finite(freq, "freq_ghz")
+        n_samples, source = obj.get("n_samples"), obj.get("source", "")
+        if n_samples is not None and (type(n_samples) is not int or n_samples < 0):
+            raise ValueError(f"n_samples must be null or a non-negative integer, "
+                             f"got {n_samples!r}")
+        if not isinstance(source, str):
+            raise TypeError(f"source must be a string, got {source!r}")
+        return FitRow(family, scenario, params, freq_ghz, n_samples, source)
     except DataError:  # _params_from_fields' error, already prefixed
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad report row: {exc}") from None
 
 
+def _json_value(value) -> str:
+    """A scalar as json.dumps writes it: float.__repr__, NaN and Infinity as
+    json spells them, strings ASCII-escaped; json.dumps itself writes the
+    rest (null, true, false, ints) and raises its TypeError for the others."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def _json_object(fields: dict, indent: str) -> str:
+    """A non-empty dict of scalars and dicts as json.dumps(indent=2) lays it out."""
+    inner = indent + "  "
+    return "{\n" + ",\n".join(
+        f'{inner}"{name}": ' + (_json_object(value, inner) if isinstance(value, dict)
+                                else _json_value(value))
+        for name, value in fields.items()
+    ) + f"\n{indent}}}"
+
+
 def dumps_params(report: FitReport) -> str:
     """Serialize a report with stable key order and repr-exact floats."""
-    doc = {
-        "schema_version": PARAMS_SCHEMA_VERSION,
-        "rows": [_row_to_json(r) for r in report.rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    rows = [_row_to_json(r) for r in report.rows]
+    items = ",\n".join("    " + _json_object(r, "    ") for r in rows)
+    listed = f"[\n{items}\n  ]" if rows else "[]"
+    return f'{{\n  "schema_version": {PARAMS_SCHEMA_VERSION},\n  "rows": {listed}\n}}\n'
 
 
 def write_params_json(report: FitReport, dest: Source) -> None:
@@ -505,4 +527,7 @@ def read_params_json(source: Source) -> FitReport:
             f"read_params_json: unsupported schema_version {version!r} "
             f"(expected {PARAMS_SCHEMA_VERSION})"
         )
-    return FitReport(tuple(_row_from_json(r) for r in doc["rows"]))
+    rows, scenarios = doc["rows"], {}
+    if not isinstance(rows, list):
+        raise DataError(f"read_params_json: rows must be a list, got {type(rows).__name__}")
+    return FitReport(tuple(_row_from_json(r, scenarios) for r in rows))

@@ -14,12 +14,13 @@ kernel per family, so the arithmetic has one copy.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DataError, DomainError, NumericalError, SingularDesignError, UsageError
-from .freespace import fspl_db
+from .freespace import friis_db
 from .models import (
     AbgParams,
     CifParams,
@@ -49,45 +50,45 @@ RANK_TOLERANCE = 1e-10
 MIN_ABS_PLE = 1e-9
 
 
-def _solve_normal(ata: np.ndarray, aty: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+def _solve_normal(ata: np.ndarray, aty: np.ndarray, names: tuple[str, ...]) -> list[float]:
     """Solve a small normal system by Gaussian elimination, partial pivoting.
 
     Raises SingularDesignError naming the regressor whose pivot collapses,
     which for these systems is the column that is (numerically) a linear
-    combination of the ones before it.
+    combination of the ones before it. It runs on Python floats with numpy's
+    roundings: np.argmax's pivot (the first NaN, else the first largest).
     """
-    a = np.array(ata, dtype=float)
-    b = np.array(aty, dtype=float)
-    k = b.size
-    scale = np.max(np.abs(a))
-    tol = RANK_TOLERANCE * max(scale, 1.0)
+    a, b = ata.tolist(), aty.tolist()
+    k = len(b)
+    tol = RANK_TOLERANCE * max(float(np.abs(ata).max()), 1.0)
     for j in range(k):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if abs(a[p, j]) <= tol:
+        p = max(range(j, k), key=lambda r: (a[r][j] != a[r][j], abs(a[r][j])))
+        if abs(a[p][j]) <= tol:
             raise SingularDesignError(
                 f"normal system singular: {names[j]} column degenerate",
                 regressor=names[j],
             )
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            b[[j, p]] = b[[p, j]]
+        a[j], a[p], b[j], b[p] = a[p], a[j], b[p], b[j]
         for r in range(j + 1, k):
-            m = a[r, j] / a[j, j]
-            a[r, j:] -= m * a[j, j:]
+            m = a[r][j] / a[j][j]
+            a[r][j:] = [x - m * y for x, y in zip(a[r][j:], a[j][j:])]
             b[r] -= m * b[j]
-    x = np.zeros(k)
+    x = [0.0] * k
     for j in range(k - 1, -1, -1):
-        x[j] = (b[j] - a[j, j + 1 :] @ x[j + 1 :]) / a[j, j]
+        row = a[j][j + 1:]  # numpy's dot: a sum from 0.0, in BLAS's order past one term
+        dot = np.dot(row, x[j + 1:]) if len(row) > 1 else 0.0 + (row[0] * x[-1] if row else 0.0)
+        x[j] = (b[j] - dot) / a[j][j]
     return x
 
 
 def _rms(residuals: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(residuals**2)))
+    # np.mean's own sum and division, without its per-call overhead
+    return math.sqrt(float(np.add.reduce(residuals * residuals)) / residuals.size)
 
 
 def _require_finite(where: str, **values: float) -> None:
     """Refuse a fitted value (parameter, sigma or mean frequency) that overflowed."""
-    bad = [name for name, value in values.items() if not np.isfinite(value)]
+    bad = [name for name, value in values.items() if not math.isfinite(value)]
     if bad:
         raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
 
@@ -118,7 +119,7 @@ class _Terms(NamedTuple):
 
     @classmethod
     def of(cls, f: np.ndarray, d: np.ndarray, pl: np.ndarray) -> "_Terms":
-        return cls(f, d, pl, 10.0 * np.log10(d), pl - fspl_db(f, 1.0), 10.0 * np.log10(f))
+        return cls(f, d, pl, 10.0 * np.log10(d), pl - friis_db(f, 1.0), 10.0 * np.log10(f))
 
     def take(self, index: np.ndarray) -> "_Terms":
         return _Terms(*(column[index] for column in self))
@@ -126,7 +127,7 @@ class _Terms(NamedTuple):
 
 def _ci(t: _Terms) -> CiParams:
     denom = float(t.dec @ t.dec)
-    if denom <= RANK_TOLERANCE * max(1.0, float(np.max(t.dec**2, initial=0.0))):
+    if denom <= RANK_TOLERANCE * max(1.0, float((t.dec**2).max(initial=0.0))):
         raise NumericalError(
             "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
         )
@@ -137,11 +138,11 @@ def _ci(t: _Terms) -> CiParams:
 
 
 def _fi(t: _Terms) -> FiParams:
-    if np.unique(t.f).size > 1:
+    if (t.f != t.f[0]).any():
         raise DataError(
             "fit_fi: dataset spans multiple frequencies; use fit_abg or fit_cif"
         )
-    if np.unique(t.d).size < 2:
+    if not (t.d != t.d[0]).any():
         raise SingularDesignError(
             "fit_fi: distance column degenerate, all samples at one distance",
             regressor="distance",
@@ -156,12 +157,12 @@ def _fi(t: _Terms) -> FiParams:
 
 
 def _abg(t: _Terms) -> AbgParams:
-    if np.unique(t.f).size < 2:
+    if not (t.f != t.f[0]).any():
         raise SingularDesignError(
             "fit_abg: frequency column degenerate, single-frequency dataset",
             regressor="frequency",
         )
-    if np.unique(t.d).size < 2:
+    if not (t.d != t.d[0]).any():
         raise SingularDesignError(
             "fit_abg: distance column degenerate, all samples at one distance",
             regressor="distance",
@@ -193,7 +194,7 @@ def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
         f0 = float(f0_ghz)
         if not np.isfinite(f0) or f0 <= 0.0:
             raise DomainError("fit_cif: f0 must be finite and positive")
-    if np.unique(t.f).size < 2:
+    if not (t.f != t.f[0]).any():
         raise SingularDesignError(
             "fit_cif: frequency column degenerate, single-frequency dataset",
             regressor="frequency",
@@ -213,8 +214,8 @@ def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
 
 
 def _xpd(base: CoPolarizedParams, t: _Terms) -> XpdExtension:
-    resid = t.pl - base.mean_path_loss_db(t.f, t.d)
-    xpd = float(np.mean(resid))
+    resid = t.pl - base._mean_db(t.f, t.d)  # columns ensure_fit_ready checked
+    xpd = float(np.add.reduce(resid)) / resid.size  # np.mean's sum and division
     sigma = _rms(resid - xpd)
     _require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)
     return XpdExtension(base=base, xpd_db=xpd, sigma_db=sigma)
@@ -343,7 +344,8 @@ def fit_scenarios(
     selections lists (Environment, Layout, PolarizationClass or None)
     triples; None takes every (environment, layout) pair in the data, the
     measured pairs first. A selection without a polarization fits V-V, V-H
-    and, when both are present, Combined. Each polarization's samples are
+    and, when both are present, Combined; a scenario an earlier selection
+    already fitted is not fitted again. Each polarization's samples are
     fitted per frequency with the single-frequency families and, when they
     span several frequencies, pooled with the multi-frequency ones. A V-H
     fit of CI, ABG or CIF whose V-V fit of the same pair and frequency
@@ -354,8 +356,9 @@ def fit_scenarios(
     ABG or CIF on single-frequency samples raises the estimator's refusal.
     f0_ghz is the CIF reference frequency, by default compute_f0's rule.
 
-    Each (environment, layout) group is selected once and its per-row
-    terms computed once; every fit is a take of those rows, in file order.
+    Each selection's (environment, layout) group is selected once and its
+    per-row terms computed once; every fit is a take of those rows, in file
+    order.
     Raises DataError when any sample of the dataset is invalid, also one
     outside the selections, or when no selected scenario holds samples.
     """
@@ -384,6 +387,7 @@ def fit_scenarios(
                       in ordered_pairs((ENVIRONMENTS[e], LAYOUTS[lo]) for e, lo in present)]
     rows: list[FitRow] = []
     bases: dict = {}
+    fitted: set = set()  # scenario keys done, so a repeated selection adds no rows
     for env, layout, pol_filter in selections:
         group = np.flatnonzero(pair_code == CODE[env] * len(LAYOUTS) + CODE[layout])
         if group.size == 0:
@@ -391,8 +395,10 @@ def fit_scenarios(
         pol = dataset.pol[group]
         terms = _Terms.of(dataset.freq[group], dataset.dist[group], dataset.pl[group])
         for pol_class in PolarizationClass:
-            if pol_filter is not None and pol_class is not pol_filter:
+            key = ScenarioKey(env, layout, pol_class)
+            if pol_filter not in (None, pol_class) or key in fitted:
                 continue
+            fitted.add(key)
             if pol_class is PolarizationClass.COMBINED:
                 if np.unique(pol).size < 2:
                     continue  # combined duplicates a lone polarization
@@ -402,7 +408,6 @@ def fit_scenarios(
                 if index.size == 0:
                     continue
                 part = terms.take(index)
-            key = ScenarioKey(env, layout, pol_class)
             source = (f"{dataset.provenance}[{key.label()}]" if dataset.provenance
                       else key.label())
             freqs = np.unique(part.f).tolist()

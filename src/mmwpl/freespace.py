@@ -22,7 +22,12 @@ def fspl_db(frequency_ghz, distance_m=1.0):
         raise DomainError("fspl_db: frequency must be finite and positive")
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise DomainError("fspl_db: distance must be finite and positive")
-    out = 20.0 * np.log10(4.0 * np.pi * d * f * 1e9 / SPEED_OF_LIGHT_M_S)
+    out = friis_db(f, d)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def friis_db(f: np.ndarray, d):
+    """fspl_db without its domain checks, for columns already validated."""
+    return 20.0 * np.log10(4.0 * np.pi * d * f * 1e9 / SPEED_OF_LIGHT_M_S)

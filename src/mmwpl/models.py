@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .freespace import fspl_db
+from .freespace import friis_db, fspl_db
 from .taxonomy import MIN_DISTANCE_M, Dataset, ensure_fit_ready
 
 REFERENCE_DISTANCE_M = 1.0
@@ -70,8 +70,11 @@ class CiParams:
 
     def mean_path_loss_db(self, frequency_ghz, distance_m):
         f = _require_frequency(frequency_ghz, self.family)
-        d = _checked_distance(distance_m)
-        return fspl_db(f, REFERENCE_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
+        return self._mean_db(f, _checked_distance(distance_m), fspl_db)
+
+    def _mean_db(self, f, d, fspl=friis_db):
+        """The mean on f and d; unchecked unless fspl is fspl_db."""
+        return fspl(f, REFERENCE_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,9 @@ class AbgParams:
         f = np.asarray(_require_frequency(frequency_ghz, self.family), dtype=float)
         if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
             raise DomainError("frequency must be finite and positive")
-        d = _checked_distance(distance_m)
+        return self._mean_db(f, _checked_distance(distance_m))
+
+    def _mean_db(self, f, d):
         return (
             10.0 * self.alpha_dist * np.log10(d)
             + self.beta_db
@@ -152,9 +157,11 @@ class CifParams:
 
     def mean_path_loss_db(self, frequency_ghz, distance_m):
         f = np.asarray(_require_frequency(frequency_ghz, self.family), dtype=float)
-        d = _checked_distance(distance_m)
+        return self._mean_db(f, _checked_distance(distance_m), fspl_db)
+
+    def _mean_db(self, f, d, fspl=friis_db):
         slope = self.n * (1.0 + self.b * (f - self.f0_ghz) / self.f0_ghz)
-        return fspl_db(f, REFERENCE_DISTANCE_M) + 10.0 * slope * np.log10(d)
+        return fspl(f, REFERENCE_DISTANCE_M) + 10.0 * slope * np.log10(d)
 
 
 CoPolarizedParams = Union[CiParams, AbgParams, CifParams]

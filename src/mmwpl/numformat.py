@@ -28,7 +28,21 @@ def format_fixed(value: float, decimals: int) -> str:
     """Format with a fixed number of decimals, ties away from zero.
 
     A value that rounds to zero is printed unsigned, never "-0.0".
+
+    Ties are the repr's, rounded half-up through Decimal. With 0-2 decimals,
+    a value under 1e13 whose repr has no exponent and is no tie (its digits
+    past the kept ones are not just "5") prints as the correctly rounded
+    f"{value:.{decimals}f}": a rounding boundary between the repr and the
+    float would read back as the float and be a repr as short and closer,
+    and a shorter repr sits 0.005 or more from every boundary, wider than
+    the 0.002 span of values that read back as one float below 1e13.
     """
+    value = float(value)
+    text = repr(value)
+    if abs(value) < 1e13 and decimals <= 2 and "e" not in text \
+            and text.partition(".")[2][decimals:] != "5":
+        text = f"{value:.{decimals}f}"
+        return text[1:] if text[0] == "-" and float(text) == 0 else text
     quantized = _quantized(value, decimals)
     if quantized == 0:
         quantized = abs(quantized)

@@ -15,6 +15,7 @@ from mmwpl import dataio, presets
 from mmwpl.cli import main
 from mmwpl.errors import DomainError, NumericalError
 from mmwpl.models import CiParams, predict
+from mmwpl.report import render_tables
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
     Dataset,
@@ -440,6 +441,15 @@ def set_param(row, name, value):
     return edit
 
 
+def params_commands(path):
+    """report, predict and synth, each reading the params JSON at path."""
+    return (["report", "--params", path, "--style", "table3"],
+            ["predict", "--params", path, "--model", "CI", "--scenario",
+             "NLOS:CO:VV", "--fit-freq", "multi", "--f", "28", "--d", "5"],
+            ["synth", "--params", path, "--model", "CI", "--scenario",
+             "NLOS:CO:VV", "--fit-freq", "multi", "--freqs", "28:5"])
+
+
 class TestNonFiniteInputs:
     def test_overflowing_frequency_is_numerical(self):
         code, out, err, caught = run_main(["predict", "--preset", "table5:nlos-cp",
@@ -475,11 +485,7 @@ class TestNonFiniteInputs:
     ], ids=["fi-nan", "ci-inf", "xpd-base", "freq-nan", "freq-text", "bool"])
     def test_non_finite_params_are_data(self, tmp_path, edit, field):
         path = params_file(tmp_path, edit)
-        for argv in (["report", "--params", path, "--style", "table3"],
-                     ["predict", "--params", path, "--model", "CI", "--scenario",
-                      "NLOS:CO:VV", "--fit-freq", "multi", "--f", "28", "--d", "5"],
-                     ["synth", "--params", path, "--model", "CI", "--scenario",
-                      "NLOS:CO:VV", "--fit-freq", "multi", "--freqs", "28:5"]):
+        for argv in params_commands(path):
             code, out, err, _ = run_main(argv)
             assert (code, out) == (3, "")
             assert err.startswith("data error: read_params_json:")
@@ -643,3 +649,107 @@ class TestHugeValues:
         assert "1500000000000000200000000000000" in out  # CIF f0 in whole GHz
         cif = dataio.read_params_json(str(out_path)).single("CIF", freq_ghz=None)
         assert cif.params.f0_ghz == np.mean([1e30, 1e30, 2e30, 2e30])  # already whole
+
+
+class TestParamsDocumentShape:
+    @pytest.mark.parametrize("rows, message", [
+        (5, "rows must be a list, got int"),
+        (None, "rows must be a list, got NoneType"),
+    ], ids=["int", "null"])
+    def test_rows_that_are_no_list_are_data(self, tmp_path, rows, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"schema_version": 1, "rows": rows}), encoding="utf-8")
+        for argv in params_commands(str(path)):
+            assert run_main(argv)[:3] == (3, "", f"data error: read_params_json: {message}\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_samples", "abc"), ("n_samples", -3), ("n_samples", False), ("n_samples", 2.5),
+        ("source", 5), ("source", ["a"]),
+    ])
+    def test_bad_row_metadata_is_data(self, tmp_path, field, value):
+        path = params_file(tmp_path, lambda rows: rows[0].__setitem__(field, value))
+        for argv in params_commands(path):
+            code, out, err, _ = run_main(argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"data error: read_params_json: bad report row: {field} must")
+
+
+@pytest.fixture
+def los_co_csv(tmp_path):
+    """LOS corridor V-V and V-H samples at 28 and 73 GHz."""
+    los_co = ScenarioKey(Environment.LOS, Layout.CORRIDOR, PolarizationClass.VV)
+    freqs = ((28.0, 12), (73.0, 12))
+    vv = synthesize(SynthesisSpec(CiParams(1.7, 2.0), los_co, freqs, (3.9, 45.9), seed=3))
+    vh = synthesize(SynthesisSpec(CiParams(2.4, 2.0), dataclasses.replace(
+        los_co, polarization_class=PolarizationClass.VH), freqs, (3.9, 45.9), seed=4))
+    path = tmp_path / "los_co.csv"
+    dataio.write_csv(Dataset(vv.samples + vh.samples), path)
+    return str(path)
+
+
+class TestRepeatedScenarios:
+    @pytest.mark.parametrize("scenarios", [["LOS:CO", "LOS:CO"], ["LOS:CO:VV", "LOS:CO"],
+                                           ["LOS:CO", "los:co:vh", "LOS:CO:Comb"]])
+    def test_a_repeated_selection_adds_no_rows(self, los_co_csv, scenarios):
+        def fit(*selected):
+            argv = ["fit", "--input", los_co_csv]
+            for scenario in selected:
+                argv += ["--scenario", scenario]
+            code, out, err, _ = run_main(argv)
+            assert (code, err) == (0, "")
+            return out
+
+        once = fit("LOS:CO")
+        assert len(json.loads(once)["rows"]) == 26
+        assert fit(*scenarios) == once
+
+    def test_fit_output_selects_one_row_for_predict(self, los_co_csv, tmp_path):
+        out = tmp_path / "p.json"
+        assert run_main(["fit", "--input", los_co_csv, "--output", str(out),
+                         "--scenario", "LOS:CO:VV", "--scenario", "LOS:CO"])[0] == 0
+        code, text, err, _ = run_main(["predict", "--params", str(out), "--model", "CI",
+                                       "--scenario", "LOS:CO:VV", "--fit-freq", "multi",
+                                       "--f", "28", "--d", "5"])
+        assert (code, err) == (0, "")
+        assert text.startswith("freq_ghz,distance_m,path_loss_db\n28,5,")
+
+
+@st.composite
+def campaign_csvs(draw):
+    """CSV text of a small campaign: 1-2 measured pairs, V-V and/or V-H, at
+    28 and/or 73 GHz, 2-5 distinct distances per cell in 3.9-45.9 m."""
+    lines = [",".join(dataio.CSV_COLUMNS[:6])]
+    freqs = draw(st.lists(st.sampled_from(["28", "73"]), min_size=1, max_size=2, unique=True))
+    for env, layout in draw(st.lists(st.sampled_from(
+            [("LOS", "CO"), ("NLOS", "OP"), ("NLOS", "CP")]), min_size=1, max_size=2,
+            unique=True)):
+        for pol in draw(st.sampled_from([("VV",), ("VH",), ("VV", "VH")])):
+            for f in freqs:
+                for d in draw(st.lists(st.integers(39, 459), min_size=2, max_size=5,
+                                       unique=True)):
+                    loss = draw(st.floats(60.0, 160.0))
+                    lines.append(f"{f},{d / 10},{loss!r},{pol},{env},{layout}")
+    return "\n".join(lines) + "\n"
+
+
+class TestParamsClosure:
+    @settings(max_examples=25, deadline=None)
+    @given(text=campaign_csvs(), data=st.data())
+    def test_fit_output_loads_everywhere_and_reads_back_byte_identical(
+            self, tmp_path_factory, text, data):
+        base = tmp_path_factory.getbasetemp()
+        csv_path, params = base / "closure.csv", base / "closure.json"
+        csv_path.write_text(text, encoding="utf-8")
+        assert run_main(["fit", "--input", str(csv_path), "--output", str(params)])[0] == 0
+        written = params.read_text(encoding="utf-8")
+        report = dataio.read_params_json(str(params))
+        assert dataio.dumps_params(report) == written
+        assert run_main(["report", "--params", str(params)])[:3] == (0, render_tables(report), "")
+        row = data.draw(st.sampled_from(report.rows))
+        freq = "multi" if row.freq_ghz is None else f"{row.freq_ghz!r}"
+        select = ["--params", str(params), "--model", row.family,
+                  "--scenario", row.scenario.label(), "--fit-freq", freq]
+        assert run_main(["predict", *select, "--f", "28", "--d", "5", "40"])[0] == 0
+        code, out, err, _ = run_main(["synth", *select, "--freqs", "28:3", "--seed", "1"])
+        # the row loads; a fit extrapolated below 0 dB is refused as drawn data
+        assert code == 0 or (code, out) == (3, "") and err.startswith("data error: synthesize:")

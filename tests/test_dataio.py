@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import json
 import sys
 from dataclasses import replace
 
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 from mmwpl.dataio import (
     CSV_COLUMNS,
     SkippedRow,
+    _enum_of,
+    _finite,
+    _row_to_json,
     dumps_params,
     read_csv,
     read_params_json,
@@ -559,3 +563,174 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         write_params_json(demo_report(), str(path))
         assert read_params_json(str(path)) == demo_report()
+
+    @pytest.mark.parametrize("rows, kind", [("5", "int"), ("null", "NoneType"),
+                                            ('{"a": 1}', "dict"), ('""', "str")])
+    def test_rows_must_be_a_list(self, rows, kind):
+        text = '{"schema_version": 1, "rows": %s}' % rows
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(text))
+        assert str(info.value) == f"read_params_json: rows must be a list, got {kind}"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_samples", "abc", "n_samples must be null or a non-negative integer, got 'abc'"),
+        ("n_samples", -1, "n_samples must be null or a non-negative integer, got -1"),
+        ("n_samples", 12.0, "n_samples must be null or a non-negative integer, got 12.0"),
+        ("n_samples", True, "n_samples must be null or a non-negative integer, got True"),
+        ("source", 5, "source must be a string, got 5"),
+        ("source", None, "source must be a string, got None"),
+    ])
+    def test_row_metadata_types_are_checked(self, field, value, message):
+        doc = json.loads(dumps_params(demo_report()))
+        doc["rows"][1][field] = value
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(json.dumps(doc)))
+        assert str(info.value) == f"read_params_json: bad report row: {message}"
+
+    def test_null_sample_count_and_absent_source_load(self):
+        doc = json.loads(dumps_params(demo_report()))
+        doc["rows"][0]["n_samples"] = None
+        del doc["rows"][0]["source"]
+        row = read_params_json(io.StringIO(json.dumps(doc))).rows[0]
+        assert (row.n_samples, row.source) == (None, "")
+
+
+# ------------------------------------- the params JSON codec, as properties
+
+def reference_dumps_params(report):
+    """dumps_params as the json module wrote it, the reference for the
+    direct writer."""
+    doc = {"schema_version": 1, "rows": [_row_to_json(r) for r in report.rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_params_from_fields(obj):
+    """_params_from_fields with its per-field closure, the reference for the
+    table-driven reader."""
+    try:
+        model = obj["model"]
+
+        def num(name, default=None):
+            value = obj[name] if default is None else obj.get(name, default)
+            return _finite(value, f"{model} parameter {name}")
+
+        if model == "CI":
+            return CiParams(num("n"), num("sigma_db"), num("d0_m", 1.0))
+        if model == "FI":
+            return FiParams(num("alpha_db"), num("beta"), num("sigma_db"))
+        if model == "ABG":
+            return AbgParams(num("alpha"), num("beta_db"), num("gamma"),
+                             num("sigma_db"), num("d0_m", 1.0))
+        if model == "CIF":
+            return CifParams(num("n"), num("b"), num("f0_ghz"),
+                             num("sigma_db"), num("d0_m", 1.0))
+        if model in ("CIX", "ABGX", "CIFX"):
+            return XpdExtension(reference_params_from_fields(obj["base"]),
+                                num("xpd_db"), num("sigma_db"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"read_params_json: bad parameter object: {exc}") from None
+    raise DataError(f"read_params_json: unknown model {obj.get('model')!r}")
+
+
+def reference_row_from_json(obj):
+    """_row_from_json without the ScenarioKey memo and the type checks of
+    n_samples and source."""
+    try:
+        sc = obj["scenario"]
+        scenario = ScenarioKey(
+            _enum_of(sc["environment"], Environment, "environment"),
+            _enum_of(sc["layout"], Layout, "layout"),
+            _enum_of(sc["polarization"], PolarizationClass, "polarization class"),
+        )
+        family, freq = obj["model"], obj.get("freq_ghz")
+        if not isinstance(family, str):
+            raise TypeError(f"model must be a string, got {family!r}")
+        return FitRow(
+            family=family,
+            scenario=scenario,
+            params=reference_params_from_fields(obj["params"]),
+            freq_ghz=None if freq is None else _finite(freq, "freq_ghz"),
+            n_samples=obj.get("n_samples"),
+            source=obj.get("source", ""),
+        )
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"read_params_json: bad report row: {exc}") from None
+
+
+def params_strategy(number):
+    """Parameter records of every family, XPD extensions over each base."""
+    sigma = st.floats(0.0, 30.0) | st.just(0)
+    ci = st.builds(CiParams, number, sigma, st.sampled_from([1.0, 1]))
+    abg = st.builds(AbgParams, number, number, number, sigma)
+    cif = st.builds(CifParams, number, number, st.floats(0.5, 100.0), sigma)
+    fi = st.builds(FiParams, number, number, sigma)
+    xpd = st.builds(XpdExtension, ci | abg | cif, number, sigma)
+    return ci | fi | abg | cif | xpd
+
+
+def reports(number, freq, source):
+    scenario = st.builds(ScenarioKey, st.sampled_from(list(Environment)),
+                         st.sampled_from(list(Layout)), st.sampled_from(list(PolarizationClass)))
+    row = st.builds(lambda params, *rest: FitRow(params.family, *rest[:1], params, *rest[1:]),
+                    params_strategy(number), scenario, freq,
+                    st.none() | st.integers(0, 10**6), source)
+    return st.lists(row, max_size=6).map(lambda rows: FitReport(tuple(rows)))
+
+
+ANY_FLOAT = (st.floats() | st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                                             float("-inf"), 5e-324])
+             | st.floats(-1e6, 1e6).map(np.float64) | st.integers(-10**20, 10**20))
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+SOURCES = st.text() | st.sampled_from(["", "data.csv[LOS:CO:VV]@28GHz", "é \x00\"\\\n",
+                                        "\ud800", "naïve\tπ"])
+
+
+class TestParamsCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(report=reports(ANY_FLOAT, st.none() | ANY_FLOAT, SOURCES))
+    def test_writer_matches_json_dumps(self, report):
+        assert dumps_params(report) == reference_dumps_params(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=reports(FINITE, st.none() | FINITE, SOURCES))
+    def test_write_read_write_is_byte_identical(self, report):
+        text = dumps_params(report)
+        back = read_params_json(io.StringIO(text))
+        assert dumps_params(back) == text
+        assert back == report
+
+    @settings(max_examples=500, deadline=None)
+    @given(report=reports(FINITE, st.none() | FINITE, st.text(max_size=3)), data=st.data())
+    def test_reader_errors_match_the_reference(self, report, data):
+        doc = json.loads(dumps_params(report))
+        for _ in range(data.draw(st.integers(0, 3))):
+            if not doc["rows"]:
+                break
+            row = data.draw(st.sampled_from(doc["rows"]))
+            params = row.get("params")
+            nested = [row.get("scenario"), params,
+                      params.get("base") if isinstance(params, dict) else None]
+            target = data.draw(st.sampled_from(
+                [row, row, *(obj for obj in nested if isinstance(obj, dict))]))
+            key = data.draw(st.sampled_from(
+                [k for k in target if k not in ("n_samples", "source")] or ["model"]))
+            value = data.draw(st.sampled_from([
+                "delete", None, True, 5, -1.5, "x", "VV", "CI", "CIX", "LOS", [], {},
+                float("nan"), float("inf"), {"model": "CI", "n": 2.0, "sigma_db": 1.0}]))
+            if value == "delete":
+                target.pop(key, None)
+            else:
+                target[key] = value
+        text = json.dumps(doc)
+
+        def outcome(read):
+            try:
+                return repr(read())
+            except DataError as exc:
+                return str(exc)
+
+        got = outcome(lambda: read_params_json(io.StringIO(text)))
+        want = outcome(lambda: FitReport(tuple(map(reference_row_from_json, doc["rows"]))))
+        assert got == want

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwpl.dataio import dumps_params
@@ -15,6 +15,14 @@ from mmwpl.errors import (
 )
 from mmwpl.fitting import (
     FIT_FAMILIES,
+    MIN_ABS_PLE,
+    RANK_TOLERANCE,
+    _abg,
+    _ci,
+    _cif,
+    _fi,
+    _Terms,
+    _xpd,
     compute_f0,
     fit_abg,
     fit_ci,
@@ -29,8 +37,10 @@ from mmwpl.models import (
     CifParams,
     CiParams,
     FiParams,
+    XpdExtension,
     predict,
 )
+from mmwpl.numformat import round_half_away
 from mmwpl.report import FitReport, FitRow
 from mmwpl.taxonomy import (
     ENVIRONMENTS,
@@ -443,11 +453,15 @@ def reference_fit_scenarios(dataset, selections=None, families=None, f0=None):
                                    freq_ghz=freq_tag, n_samples=len(part),
                                    source=part.provenance))
 
+    done = set()  # a scenario is fitted at its first selection only
     for env, layout, pol_filter in selections:
         for pol in PolarizationClass:
             if pol_filter is not None and pol is not pol_filter:
                 continue
             key = ScenarioKey(env, layout, pol)
+            if key in done:
+                continue
+            done.add(key)
             part = partition_by_scenario(dataset, key)
             if len(part) == 0:
                 continue
@@ -557,3 +571,263 @@ class TestFitScenarios:
         ds = dataset_from(CiParams(2.0, 0.0), (28.0,), (2.0, 5.0))
         with pytest.raises(DataError, match="no scenario partition"):
             fit_scenarios(ds, [(Environment.LOS, Layout.CLOSED_PLAN, None)])
+
+
+# ------------------------------------------- kernels against the numpy ones
+
+def ref_solve_normal(ata, aty, names):
+    """_solve_normal as numpy arrays computed it, the reference for its
+    Python-float elimination."""
+    a = np.array(ata, dtype=float)
+    b = np.array(aty, dtype=float)
+    k = b.size
+    scale = np.max(np.abs(a))
+    tol = RANK_TOLERANCE * max(scale, 1.0)
+    for j in range(k):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        if abs(a[p, j]) <= tol:
+            raise SingularDesignError(
+                f"normal system singular: {names[j]} column degenerate",
+                regressor=names[j],
+            )
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            b[[j, p]] = b[[p, j]]
+        for r in range(j + 1, k):
+            m = a[r, j] / a[j, j]
+            a[r, j:] -= m * a[j, j:]
+            b[r] -= m * b[j]
+    x = np.zeros(k)
+    for j in range(k - 1, -1, -1):
+        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    return x
+
+
+def ref_rms(residuals):
+    return float(np.sqrt(np.mean(residuals**2)))
+
+
+def ref_require_finite(where, **values):
+    bad = [name for name, value in values.items() if not np.isfinite(value)]
+    if bad:
+        raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
+
+
+def ref_terms(f, d, pl):
+    return _Terms(f, d, pl, 10.0 * np.log10(d), pl - fspl_db(f, 1.0), 10.0 * np.log10(f))
+
+
+def ref_ci(t):
+    denom = float(t.dec @ t.dec)
+    if denom <= RANK_TOLERANCE * max(1.0, float(np.max(t.dec**2, initial=0.0))):
+        raise NumericalError(
+            "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
+        )
+    n = float(t.excess @ t.dec) / denom
+    sigma = ref_rms(t.excess - n * t.dec)
+    ref_require_finite("fit_ci", n=n, sigma_db=sigma)
+    return CiParams(ple_n=n, sigma_db=sigma)
+
+
+def ref_fi(t):
+    if np.unique(t.f).size > 1:
+        raise DataError("fit_fi: dataset spans multiple frequencies; use fit_abg or fit_cif")
+    if np.unique(t.d).size < 2:
+        raise SingularDesignError(
+            "fit_fi: distance column degenerate, all samples at one distance",
+            regressor="distance")
+    design = np.column_stack((np.ones_like(t.dec), t.dec))
+    alpha, beta = ref_solve_normal(design.T @ design, design.T @ t.pl,
+                                   ("intercept", "distance"))
+    sigma = ref_rms(t.pl - (alpha + beta * t.dec))
+    ref_require_finite("fit_fi", alpha_db=alpha, beta=beta, sigma_db=sigma)
+    return FiParams(alpha_db=float(alpha), beta_slope=float(beta), sigma_db=sigma)
+
+
+def ref_abg(t):
+    if np.unique(t.f).size < 2:
+        raise SingularDesignError(
+            "fit_abg: frequency column degenerate, single-frequency dataset",
+            regressor="frequency")
+    if np.unique(t.d).size < 2:
+        raise SingularDesignError(
+            "fit_abg: distance column degenerate, all samples at one distance",
+            regressor="distance")
+    design = np.column_stack((t.dec, np.ones_like(t.dec), t.fdec))
+    alpha, beta, gamma = ref_solve_normal(design.T @ design, design.T @ t.pl,
+                                          ("distance", "intercept", "frequency"))
+    sigma = ref_rms(t.pl - design @ np.array([alpha, beta, gamma]))
+    ref_require_finite("fit_abg", alpha=alpha, beta_db=beta, gamma=gamma, sigma_db=sigma)
+    return AbgParams(alpha_dist=float(alpha), beta_db=float(beta), gamma_freq=float(gamma),
+                     sigma_db=sigma)
+
+
+def ref_cif(t, f0_ghz):
+    if f0_ghz is None:
+        mean = float(np.mean(t.f))
+        ref_require_finite("compute_f0", mean_frequency=mean)
+        f0 = round_half_away(mean, 0)
+    else:
+        f0 = float(f0_ghz)
+        if not np.isfinite(f0) or f0 <= 0.0:
+            raise DomainError("fit_cif: f0 must be finite and positive")
+    if np.unique(t.f).size < 2:
+        raise SingularDesignError(
+            "fit_cif: frequency column degenerate, single-frequency dataset",
+            regressor="frequency")
+    weighted = t.dec * (t.f - f0) / f0
+    design = np.column_stack((t.dec, weighted))
+    u, v = ref_solve_normal(design.T @ design, design.T @ t.excess,
+                            ("distance", "frequency-weighted distance"))
+    if abs(u) < MIN_ABS_PLE:
+        raise NumericalError("fit_cif: frequency weighting b undefined, fitted exponent is zero")
+    sigma = ref_rms(t.excess - design @ np.array([u, v]))
+    ref_require_finite("fit_cif", n=u, b=v / u, sigma_db=sigma)
+    return CifParams(n=float(u), b=float(v / u), f0_ghz=f0, sigma_db=sigma)
+
+
+def ref_xpd(base, t):
+    resid = t.pl - base.mean_path_loss_db(t.f, t.d)
+    xpd = float(np.mean(resid))
+    sigma = ref_rms(resid - xpd)
+    ref_require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)
+    return XpdExtension(base=base, xpd_db=xpd, sigma_db=sigma)
+
+
+def kernel_outcome(kernel, *args):
+    """repr of the fitted parameters (every float bit shows in a repr), or
+    the class and text of the error."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(kernel(*args))
+    except (DataError, DomainError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_bases(t, f0):
+    """The co-polarized fits the reference kernels make of t, and four fixed
+    bases, one near the float64 limit."""
+    bases = [CiParams(2.0, 1.0), AbgParams(2.1, 31.0, 2.0, 1.0),
+             CifParams(2.0, 0.3, 50.0, 1.0), CifParams(-1e300, 1e10, 1e-300, 0.0)]
+    for ref, args in ((ref_ci, ()), (ref_abg, ()), (ref_cif, (f0,))):
+        try:
+            with np.errstate(all="ignore"):
+                bases.append(ref(t, *args))
+        except (DataError, DomainError, NumericalError):
+            pass
+    return bases
+
+
+@st.composite
+def kernel_partitions(draw):
+    """Sample columns as the kernels receive them: valid samples, from one
+    row up, with repeated and 1 m distances, near-equal and sub-0.5 GHz
+    frequencies, and path losses near the float64 limit."""
+    n = draw(st.integers(1, 12))
+    freqs = draw(st.lists(st.sampled_from([0.2, 0.4, 28.0, 28.001, 39.0, 73.0, 1e30]),
+                          min_size=1, max_size=3, unique=True))
+    dists = draw(st.lists(st.sampled_from([1.0, 3.9, 45.9]) | st.floats(1.0, 1e4),
+                          min_size=1, max_size=4))
+    f = np.array([draw(st.sampled_from(freqs)) for _ in range(n)])
+    d = np.array([draw(st.sampled_from(dists)) for _ in range(n)])
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        pl = fspl_db(f, 1.0) + 10.0 * draw(st.floats(1.0, 4.0)) * np.log10(d) + noise
+        pl = np.maximum(pl, 1.0)
+    else:
+        pl = np.array(draw(st.lists(st.floats(1.0, 300.0) | st.sampled_from([1e300, 1e308]),
+                                    min_size=n, max_size=n)))
+    return f, d, pl
+
+
+class TestKernelsMatchTheNumpyReference:
+    @settings(max_examples=500, deadline=None)
+    @given(columns=kernel_partitions(),
+           f0=st.sampled_from([None, None, 40.0, 50.0, 1e-300, 1e308]))
+    # below 0.5 GHz f0 rounds to 0, and at 1 m the CIF weighting is 0 / 0:
+    # NaN normal matrices, with a zero beside a NaN in the first column
+    @example(columns=(np.array([0.2, 0.4]), np.array([1.0, 1.0]), np.array([50.0, 60.0])),
+             f0=None)
+    @example(columns=(np.array([0.2, 0.4, 0.4]), np.array([1.0, 3.0, 1.0]),
+                      np.array([50.0, 60.0, 55.0])), f0=None)
+    def test_bit_identical_parameters_and_errors(self, columns, f0):
+        t = _Terms.of(*columns)
+        want = ref_terms(*columns)
+        for got_column, want_column in zip(t, want):
+            assert got_column.tobytes() == want_column.tobytes()
+        for kernel, ref, args in ((_ci, ref_ci, ()), (_fi, ref_fi, ()), (_abg, ref_abg, ()),
+                                  (_cif, ref_cif, (f0,))):
+            assert kernel_outcome(kernel, t, *args) == kernel_outcome(ref, t, *args)
+        for base in reference_bases(t, f0):
+            assert kernel_outcome(_xpd, base, t) == kernel_outcome(ref_xpd, base, t)
+
+
+# ---------------------------------------------------- nesting as a property
+
+# On scattered data a nested family's sigma exceeds CI's by rounding only
+# (under 1e-12), but on noiseless CI data CI's closed form leaves a sigma
+# near 1e-15 while the normal equations leave the FI line up to 1.5e-11 off
+# (seen on two samples); the noiseless-recovery bound of the acceptance
+# criteria covers that.
+NESTING_SLACK_DB = 1e-9
+
+
+@st.composite
+def paper_range_datasets(draw):
+    """Datasets the way the campaign measured them: 1-3 (environment, layout)
+    pairs, V-V and/or V-H, at 28 and/or 73 GHz, 2-8 distinct TX-RX distances
+    per cell in 3.9-45.9 m, and CI-like path loss with drawn scatter."""
+    freqs = draw(st.lists(st.sampled_from([28.0, 73.0]), min_size=1, max_size=2, unique=True))
+    columns = []
+    for env, layout in draw(st.lists(st.sampled_from(sorted(MEASURED_PAIRS, key=str)),
+                                     min_size=1, max_size=3, unique=True)):
+        exponent = draw(st.floats(1.0, 4.0))
+        for pol in draw(st.sampled_from([("VV",), ("VH",), ("VV", "VH")])):
+            for f in freqs:
+                d = np.array(draw(st.lists(st.integers(39, 459), min_size=2, max_size=8,
+                                           unique=True))) / 10.0
+                scatter = draw(st.lists(st.floats(-15.0, 15.0), min_size=len(d),
+                                        max_size=len(d)))
+                pl = (fspl_db(f, 1.0) + 10.0 * exponent * np.log10(d)
+                      + (12.0 if pol == "VH" else 0.0) + scatter)
+                codes = (POLARIZATIONS.index(Polarization(pol)), ENVIRONMENTS.index(env),
+                         LAYOUTS.index(layout))
+                columns.append((np.full(len(d), f), d, pl,
+                                *(np.full(len(d), c, np.int8) for c in codes)))
+    cols = [np.concatenate(c) for c in zip(*columns)]
+    n = len(cols[0])
+    return Dataset.from_columns(*cols, np.full(n, None, object), np.full(n, None, object))
+
+
+class TestNesting:
+    @settings(max_examples=200, deadline=None)
+    @given(dataset=paper_range_datasets())
+    def test_nested_families_fit_no_worse_than_ci(self, dataset):
+        report = fit_scenarios(dataset)
+        checked = 0
+        for row in report.rows:
+            if row.family in ("FI", "CIF", "ABG"):
+                ci = report.single("CI", row.scenario, row.freq_ghz)
+                assert row.n_samples == ci.n_samples and row.source == ci.source
+                assert row.sigma_db <= ci.sigma_db + NESTING_SLACK_DB, row.family
+                checked += 1
+        assert checked
+
+
+class TestRepeatedSelections:
+    def test_each_scenario_is_fitted_once_in_first_selection_order(self):
+        vv = dataset_from(CiParams(2.0, 0.0), (28.0, 73.0), (2.0, 5.0, 9.0))
+        vh = dataset_from(CiParams(2.5, 0.0), (28.0, 73.0), (3.0, 6.0), Polarization.VH)
+        ds = Dataset(vv.samples + vh.samples)
+        nlos_co = (Environment.NLOS, Layout.CORRIDOR)
+        once = dumps_params(fit_scenarios(ds, [(*nlos_co, None)]))
+        for chosen in ([(*nlos_co, None)] * 2,
+                       [(*nlos_co, PolarizationClass.VV), (*nlos_co, None)],
+                       [(*nlos_co, None), (*nlos_co, PolarizationClass.VH)]):
+            assert dumps_params(fit_scenarios(ds, chosen)) == once
+        vh_first = fit_scenarios(ds, [(*nlos_co, PolarizationClass.VH), (*nlos_co, None)])
+        assert [r.scenario.polarization_class for r in vh_first.rows][:7] == \
+            [PolarizationClass.VH] * 7
+        assert "CIX" not in [r.family for r in vh_first.rows]  # no V-V base came first
+        assert len({(r.family, r.scenario, r.freq_ghz) for r in vh_first.rows}) \
+            == len(vh_first)

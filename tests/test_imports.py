@@ -1,8 +1,10 @@
-"""The package imports only the standard library, numpy and itself.
+"""The package imports only the standard library, numpy and itself, and
+parses as the oldest Python it declares.
 
 scipy and the test tools may be installed next to mmwpl, but a module
 that imported them would not run where only the declared dependency,
-numpy, is present.
+numpy, is present. pyproject.toml declares requires-python >= 3.10, so no
+module may use syntax a 3.10 parser rejects.
 """
 
 import ast
@@ -31,3 +33,8 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_and_mmwpl(path):
     assert sorted(set(imported_roots(path)) - ALLOWED) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_with_the_oldest_declared_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

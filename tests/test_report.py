@@ -1,5 +1,8 @@
 """Sigma-gap bookkeeping and table rendering mechanics."""
 
+import decimal
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +102,38 @@ class TestRendering:
             assert [i for i, ch in enumerate(line) if ch == "|"] == pipe_cols
 
 
+def decimal_format_fixed(value, decimals):
+    """format_fixed as Decimal alone computed it, the reference for its
+    float-formatting shortcut."""
+    quantum = decimal.Decimal(1).scaleb(-decimals)
+    quantized = decimal.Decimal(repr(float(value))).quantize(
+        quantum, rounding=decimal.ROUND_HALF_UP, context=decimal.Context(prec=decimal.MAX_PREC))
+    if quantized == 0:
+        quantized = abs(quantized)
+    return f"{quantized:.{decimals}f}"
+
+
+def _tie(k, decimals, step):
+    """k + 0.5 units of the last kept place, or a float step away from it."""
+    tie = (k + 0.5) / 10**decimals
+    for _ in range(abs(step)):
+        tie = math.nextafter(tie, math.copysign(math.inf, step))
+    return tie
+
+
+_SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e12, 1e13, 1e16, 1e17])
+FORMAT_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e4, 1e4),
+    st.builds(lambda scale, x: scale * x, _SCALES, st.floats(-10.0, 10.0)),
+    st.builds(_tie, st.integers(-10**15, 10**15) | st.integers(-1000, 1000),
+              st.sampled_from([0, 1, 2]), st.integers(-2, 2)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e13, -1e13,
+                     math.nextafter(1e13, 0), 9999999999999.995, 1e16, 9007199254740993.0,
+                     0.005, -0.005, 0.015, 1.005, 2.675, -0.0049999, 0.045, 1.5, 2.5]),
+)
+
+
 class TestNumberFormatting:
     def test_ties_go_away_from_zero(self):
         assert format_fixed(0.25, 1) == "0.3"
@@ -129,6 +164,12 @@ class TestNumberFormatting:
             assert round_half_away(value, decimals) == pytest.approx(value, abs=10.0 ** -decimals)
         assert format_fixed(1e30, 1) == "1" + "0" * 30 + ".0"
         assert round_half_away(1.5e30) == 1.5e30
+
+    @settings(max_examples=3000, deadline=None)
+    @given(value=FORMAT_VALUES, decimals=st.sampled_from([0, 1, 2]))
+    def test_matches_the_decimal_path(self, value, decimals):
+        assert format_fixed(value, decimals) == decimal_format_fixed(value, decimals)
+
 
 
 def scan(report, family=None, scenario=None, freq_ghz=ANY_FREQ):
