@@ -33,8 +33,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_FIT_CHOICES = ("auto", *(family.lower() for family in fitting.FIT_FAMILIES))
-
 
 def _parse_freq_blocks(text: str) -> tuple[tuple[float, int], ...]:
     """Parse --freqs blocks like "28:100,73:100" into (GHz, count) pairs."""
@@ -77,18 +75,12 @@ def _write_text(text: str, output: Optional[str]) -> None:
 def _requested_families(spec: str) -> Optional[tuple[str, ...]]:
     """Resolve --families into fit_scenarios' families: None for 'auto'.
 
-    'auto' adapts to the data: per-frequency CI+FI plus pooled CI+CIF+ABG
-    when several frequencies are present. An explicit list is honored
-    literally, so asking for a multi-frequency family on single-frequency
-    data surfaces the estimator's refusal instead of silently skipping.
+    fit_scenarios checks the names; an explicit list is honored literally,
+    so asking for a multi-frequency family on single-frequency data surfaces
+    the estimator's refusal instead of silently skipping.
     """
-    tokens = [t.strip().lower() for t in spec.split(",") if t.strip()]
-    if not tokens or "auto" in tokens:
-        return None
-    bad = [t for t in tokens if t not in _FIT_CHOICES]
-    if bad:
-        raise UsageError(f"unknown family token(s) {bad}; choose from {_FIT_CHOICES}")
-    return tuple(t.upper() for t in tokens)
+    tokens = [t.strip().upper() for t in spec.split(",") if t.strip()]
+    return None if not tokens or "AUTO" in tokens else tuple(tokens)
 
 
 def _cmd_fit(args) -> int:
@@ -110,7 +102,7 @@ def _resolve_model(args):
     family = args.model.upper()
     if family not in MODEL_FAMILIES:
         raise UsageError(f"unknown model family {args.model!r}; choose from {MODEL_FAMILIES}")
-    if args.preset:
+    if args.preset is not None:
         return presets.preset_model(args.preset, family)
     report = dataio.read_params_json(args.params)
     scenario = None
@@ -181,7 +173,7 @@ def _cmd_synth(args) -> int:
 # -------------------------------------------------------------- report
 
 def _cmd_report(args) -> int:
-    if args.preset:
+    if args.preset is not None:
         report = presets.preset_report(args.preset)
         style = args.style or presets.preset_style(args.preset)
         text = render_table(report, style)

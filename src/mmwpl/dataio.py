@@ -415,6 +415,8 @@ def _params_from_fields(obj: dict):
                     value = obj.get(name, 1.0) if name == "d0_m" else obj[name]
                     values.append(_finite(value, f"{model} parameter {name}"))
             return cls(*values)
+    except DataError:  # an XPD base's own error, already prefixed
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad parameter object: {exc}") from None
     raise DataError(f"read_params_json: unknown model {obj.get('model')!r}")
@@ -512,10 +514,10 @@ def read_params_json(source: Source) -> FitReport:
     try:
         try:
             doc = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"read_params_json: invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise _not_utf8("read_params_json", exc) from None
+        except ValueError as exc:  # a JSONDecodeError, or an integer over int's digit limit
+            raise DataError(f"read_params_json: invalid JSON: {exc}") from None
     finally:
         if owned:
             stream.close()
@@ -530,4 +532,9 @@ def read_params_json(source: Source) -> FitReport:
     rows, scenarios = doc["rows"], {}
     if not isinstance(rows, list):
         raise DataError(f"read_params_json: rows must be a list, got {type(rows).__name__}")
-    return FitReport(tuple(_row_from_json(r, scenarios) for r in rows))
+    report = FitReport(tuple(_row_from_json(r, scenarios) for r in rows))
+    for row in report.rows:  # after every row's own checks, whose errors come first
+        if row.family != row.params.family:
+            raise DataError(f"read_params_json: bad report row: model {row.family!r} "
+                            f"does not match its params' model {row.params.family!r}")
+    return report

@@ -199,7 +199,15 @@ def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
             "fit_cif: frequency column degenerate, single-frequency dataset",
             regressor="frequency",
         )
+    if f0 == 0.0:
+        raise NumericalError(
+            "fit_cif: reference frequency f0 rounds to 0 GHz, the mean frequency is below 0.5 GHz"
+        )
     weighted = t.dec * (t.f - f0) / f0
+    if not np.isfinite(weighted).all():
+        raise NumericalError(
+            "fit_cif: frequency-weighted distance column overflows float64"
+        )
     design = np.column_stack((t.dec, weighted))
     u, v = _solve_normal(
         design.T @ design, design.T @ t.excess, ("distance", "frequency-weighted distance")
@@ -299,16 +307,9 @@ def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
 
 # ------------------------------------------------------- scenario fitting
 
-FIT_FAMILIES = ("CI", "FI", "ABG", "CIF")
-_SINGLE_FREQ_FAMILIES = ("CI", "FI")
-_MULTI_FREQ_FAMILIES = ("CI", "CIF", "ABG")
-
-_KERNELS = {
-    "CI": lambda t, f0: _ci(t),
-    "FI": lambda t, f0: _fi(t),
-    "ABG": lambda t, f0: _abg(t),
-    "CIF": _cif,
-}
+# the estimators by family name; FIT_FAMILIES keeps this order
+_KERNELS = {"CI": _ci, "FI": _fi, "ABG": _abg, "CIF": _cif}
+FIT_FAMILIES = tuple(_KERNELS)
 
 
 def _fit_families(t, key, freq_tag, families, f0_ghz, source, rows, bases):
@@ -320,7 +321,7 @@ def _fit_families(t, key, freq_tag, families, f0_ghz, source, rows, bases):
     n = len(t.f)
     pol = key.polarization_class
     for family in families:
-        params = _KERNELS[family](t, f0_ghz)
+        params = _cif(t, f0_ghz) if family == "CIF" else _KERNELS[family](t)
         rows.append(FitRow(family, key, params, freq_ghz=freq_tag, n_samples=n, source=source))
         if family == "FI":
             continue
@@ -346,14 +347,14 @@ def fit_scenarios(
     measured pairs first. A selection without a polarization fits V-V, V-H
     and, when both are present, Combined; a scenario an earlier selection
     already fitted is not fitted again. Each polarization's samples are
-    fitted per frequency with the single-frequency families and, when they
-    span several frequencies, pooled with the multi-frequency ones. A V-H
-    fit of CI, ABG or CIF whose V-V fit of the same pair and frequency
-    class came earlier also gets its XPD extension (CIX, ABGX, CIFX).
+    fitted per frequency with CI and FI and, when they span several
+    frequencies, pooled with CI, CIF and ABG. A V-H fit of CI, ABG or CIF
+    whose V-V fit of the same pair and frequency class came earlier also
+    gets its XPD extension (CIX, ABGX, CIFX).
 
-    families None adapts to the data: CI and FI per frequency, CI, CIF and
-    ABG pooled. A list of names from FIT_FAMILIES is honored literally, so
-    ABG or CIF on single-frequency samples raises the estimator's refusal.
+    families None fits all of those. A list of names from FIT_FAMILIES
+    keeps only the named ones; a named ABG or CIF is also fitted on samples
+    of one frequency, so that the estimator's refusal is raised.
     f0_ghz is the CIF reference frequency, by default compute_f0's rule.
 
     Each selection's (environment, layout) group is selected once and its
@@ -362,21 +363,17 @@ def fit_scenarios(
     Raises DataError when any sample of the dataset is invalid, also one
     outside the selections, or when no selected scenario holds samples.
     """
-    if families is None:
-        singles, multis, explicit = _SINGLE_FREQ_FAMILIES, _MULTI_FREQ_FAMILIES, False
-    else:
+    per_freq, pooled, one_freq = ("CI", "FI"), ("CI", "CIF", "ABG"), ()
+    if families is not None:
         wanted = tuple(families)
         unknown = [f for f in wanted if f not in FIT_FAMILIES]
         if unknown:
             raise UsageError(
                 f"fit_scenarios: unknown families {unknown}; choose from {FIT_FAMILIES}"
             )
-        singles = tuple(f for f in _SINGLE_FREQ_FAMILIES if f in wanted)
-        multis = tuple(f for f in _MULTI_FREQ_FAMILIES if f in wanted)
-        explicit = True
-    # families that genuinely need several frequencies, fitted on one
-    # frequency only when asked for by name, so that the estimator refuses
-    pooled_only = tuple(f for f in multis if f not in _SINGLE_FREQ_FAMILIES)
+        per_freq = tuple(f for f in per_freq if f in wanted)
+        pooled = tuple(f for f in pooled if f in wanted)
+        one_freq = tuple(f for f in pooled if f not in per_freq)
     if len(dataset):
         ensure_fit_ready(dataset, "fit_scenarios")
     pair_code = dataset.env * len(LAYOUTS) + dataset.layout
@@ -412,15 +409,11 @@ def fit_scenarios(
                       else key.label())
             freqs = np.unique(part.f).tolist()
             for freq in freqs:
-                if len(freqs) == 1:
-                    _fit_families(part, key, freq, singles, f0_ghz, source, rows, bases)
-                else:
-                    _fit_families(part.take(np.flatnonzero(part.f == freq)), key, freq,
-                                  singles, f0_ghz, f"{source}@{freq:g}GHz", rows, bases)
-            if len(freqs) > 1:
-                _fit_families(part, key, None, multis, f0_ghz, source, rows, bases)
-            elif explicit:
-                _fit_families(part, key, None, pooled_only, f0_ghz, source, rows, bases)
+                one = part if len(freqs) == 1 else part.take(np.flatnonzero(part.f == freq))
+                at = source if len(freqs) == 1 else f"{source}@{freq:g}GHz"
+                _fit_families(one, key, freq, per_freq, f0_ghz, at, rows, bases)
+            _fit_families(part, key, None, pooled if len(freqs) > 1 else one_freq, f0_ghz,
+                          source, rows, bases)
     if not rows:
         raise DataError("fit: no scenario partition contained samples to fit")
     return FitReport(tuple(rows))

@@ -15,7 +15,7 @@ from mmwpl import dataio, presets
 from mmwpl.cli import main
 from mmwpl.errors import DomainError, NumericalError
 from mmwpl.models import CiParams, predict
-from mmwpl.report import render_tables
+from mmwpl.report import FitReport, render_table, render_tables
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
     Dataset,
@@ -490,6 +490,7 @@ class TestNonFiniteInputs:
             assert (code, out) == (3, "")
             assert err.startswith("data error: read_params_json:")
             assert f"{field} must be a finite number" in err
+            assert err.count("read_params_json") == 1
 
     def test_bad_fit_frequency_is_usage(self, tmp_path):
         path = params_file(tmp_path, lambda rows: None)
@@ -662,6 +663,28 @@ class TestParamsDocumentShape:
         for argv in params_commands(str(path)):
             assert run_main(argv)[:3] == (3, "", f"data error: read_params_json: {message}\n")
 
+    def test_row_model_must_match_its_params(self, tmp_path):
+        # the V-V multi-frequency CI row given the 28 GHz FI row's parameters
+        path = params_file(tmp_path, lambda rows: rows[4].__setitem__("params", rows[1]["params"]))
+        for argv in params_commands(path):
+            assert run_main(argv)[:3] == (3, "", "data error: read_params_json: bad report row: "
+                                                 "model 'CI' does not match its params' model 'FI'\n")
+
+    @pytest.mark.parametrize("digits, message", [
+        (400, "bad parameter object: CI parameter n must be a finite number, got 1000"),
+        (5000, ""),  # over int's string digit limit where Python has one: invalid JSON
+    ], ids=["beyond-float", "beyond-int-digits"])
+    def test_huge_integer_parameter_is_data(self, tmp_path, digits, message):
+        path = params_file(tmp_path, set_param(0, "n", "HUGE"))
+        with open(path, encoding="utf-8") as stream:
+            text = stream.read().replace('"HUGE"', "1" + "0" * digits)
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        for argv in params_commands(path):
+            code, out, err, caught = run_main(argv)
+            assert (code, out, caught) == (3, "", [])
+            assert err.startswith(f"data error: read_params_json: {message}")
+
     @pytest.mark.parametrize("field, value", [
         ("n_samples", "abc"), ("n_samples", -3), ("n_samples", False), ("n_samples", 2.5),
         ("source", 5), ("source", ["a"]),
@@ -753,3 +776,193 @@ class TestParamsClosure:
         code, out, err, _ = run_main(["synth", *select, "--freqs", "28:3", "--seed", "1"])
         # the row loads; a fit extrapolated below 0 dB is refused as drawn data
         assert code == 0 or (code, out) == (3, "") and err.startswith("data error: synthesize:")
+
+
+def write_rows(path, rows):
+    header = ",".join(dataio.CSV_COLUMNS[:6])
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestCifReferenceFrequency:
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_f0_that_rounds_to_zero_is_numerical(self, tmp_path, command):
+        path = write_rows(tmp_path / "low.csv", [f"{f},{d},{40.0 + 2.0 * d},VV,LOS,CO"
+                                                 for f in (0.1, 0.2) for d in (2, 5, 9)])
+        assert run_main([command, "--input", path]) == (
+            4, "", "numerical error: fit_cif: reference frequency f0 rounds to 0 GHz, "
+                   "the mean frequency is below 0.5 GHz\n", [])
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_overflowing_weighted_column_is_numerical(self, tmp_path, command):
+        path = write_rows(tmp_path / "mf.csv", [f"{f},{d},{80.0 + 2.0 * d},VV,LOS,CO"
+                                                for f in (28, 73) for d in (2, 5, 9)])
+        assert run_main([command, "--input", path, "--f0", "1e308"]) == (
+            4, "", "numerical error: fit_cif: frequency-weighted distance column "
+                   "overflows float64\n", [])
+
+
+SYNTH_CI = ["synth", "--preset", "table3:28:VV:LOS:CO", "--model", "CI",
+            "--scenario", "LOS:CO:VV"]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("freqs, message", [
+        ("28:x", "bad --freqs entry '28:x'; expected GHZ:COUNT"),
+        (",", "--freqs selected no frequency blocks"),
+    ])
+    def test_bad_freq_blocks_are_usage(self, freqs, message):
+        assert run_main([*SYNTH_CI, "--freqs", freqs]) == (2, "", f"usage error: {message}\n", [])
+
+    def test_empty_freq_block_is_skipped(self):
+        code, out, err, _ = run_main([*SYNTH_CI, "--freqs", "28:5,,73:5"])
+        assert (code, err) == (0, "")
+        assert run_main([*SYNTH_CI, "--freqs", "28:5,73:5"])[1] == out
+
+    def test_unknown_family_token_is_named(self, clean_ci_csv):
+        assert run_main(["fit", "--input", clean_ci_csv, "--families", "ci,xyz"]) == (
+            2, "", "usage error: fit_scenarios: unknown families ['XYZ']; "
+                   "choose from ('CI', 'FI', 'ABG', 'CIF')\n", [])
+
+    def test_compare_on_an_absent_pair_is_data(self, clean_ci_csv):
+        assert run_main(["compare", "--input", clean_ci_csv, "--scenario", "LOS:CP"]) == (
+            3, "", "data error: compare: no samples selected\n", [])
+
+    def test_preset_selector_matching_nothing_is_usage(self):
+        assert run_main(["report", "--preset", "table3:multi"]) == (
+            2, "", "usage error: preset selector 'table3:multi' matches no rows\n", [])
+
+    def test_empty_selector_token_is_skipped(self):
+        once = run_main(["report", "--preset", "table5:nlos-cp"])
+        assert once[0] == 0
+        assert run_main(["report", "--preset", "table5::nlos-cp"]) == once
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--preset", ""],
+        ["predict", "--preset", "", "--model", "CI", "--f", "28", "--d", "5"],
+        [*SYNTH_CI[:2], "", *SYNTH_CI[3:], "--freqs", "28:3"],
+    ], ids=["report", "predict", "synth"])
+    def test_empty_preset_selector_is_usage(self, argv):
+        assert run_main(argv) == (2, "", "usage error: unknown preset table ''; expected one "
+                                         "of ('table3', 'table4', 'table5', 'table6')\n", [])
+
+    def test_report_that_fills_no_table_prints_the_table3_header(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"schema_version": 1, "rows": []}', encoding="utf-8")
+        header = render_table(FitReport(()), "table3")
+        assert header.count("\n") == 2  # column names and rule
+        assert run_main(["report", "--params", str(path)]) == (0, header, "", [])
+
+    def test_header_field_over_csv_limit_is_data(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(CSV_HEADER + "T" * 200_000 + "\n28,10.0,72.39,VV,NLOS,CO,TX1,RX1\n",
+                        encoding="utf-8")
+        assert run_main(["fit", "--input", str(path)]) == (
+            3, "", "data error: read_csv: header row: field larger than field limit (131072)\n",
+            [])
+
+
+# ----------------------------------------------------- argv fuzz and closure
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Inputs the fuzzed commands read: CSVs of one and of two frequencies,
+    one below 0.5 GHz, a fitted params JSON, an empty one, and a missing path."""
+    base = tmp_path_factory.mktemp("fuzz")
+    vv = synthesize(SynthesisSpec(CiParams(2.5, 4.0), NLOS_CO_VV, ((28.0, 6), (73.0, 6)),
+                                  (3.9, 45.9), seed=7))
+    vh = synthesize(SynthesisSpec(CiParams(3.0, 4.0), NLOS_CO_VH, ((28.0, 6), (73.0, 6)),
+                                  (3.9, 45.9), seed=8))
+    dataio.write_csv(Dataset(vv.samples + vh.samples), base / "both.csv")
+    dataio.write_csv(Dataset(vv.samples[:6]), base / "single.csv")
+    write_rows(base / "low.csv", [f"{f},{d},{40.0 + 2.0 * d},VV,LOS,CO"
+                                  for f in (0.1, 0.2) for d in (2, 5, 9)])
+    assert run_main(["fit", "--input", str(base / "both.csv"),
+                     "--output", str(base / "params.json")])[0] == 0
+    (base / "empty.json").write_text('{"schema_version": 1, "rows": []}', encoding="utf-8")
+    return base
+
+
+FUZZ_NUMBERS = st.sampled_from(["28", "50", "3.9", "45.9", "1", "0.5", "0", "-0", "-3",
+                                "1e-300", "1e308", "inf", "nan", "x"])
+FUZZ_SCENARIOS = st.sampled_from(["NLOS:CO", "nlos:co:vh", "NLOS:CO:Comb", "NLOS:CO:VV",
+                                  "LOS:CP", "LOS:CP:VV", "NLOS", "XLOS:CO", "NLOS:CO:HH", ""])
+FUZZ_PRESETS = st.sampled_from(["table3:28:VV:NLOS:CO", "table5:nlos-cp", "table5::nlos-cp",
+                                "table3", "table4:73", "table6", "table3:multi", "table9", ""])
+FUZZ_MODELS = st.sampled_from(["CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX", "ci", "XX"])
+# counts stay small: a block never asks for more than 5 samples
+FUZZ_BLOCKS = st.lists(
+    st.tuples(st.sampled_from(["28", "73", "0.3", "0.001", "1e30", "1e308", "nan", "-5", "x", ""]),
+              st.sampled_from([":1", ":3", ":5", ":0", ":-2", ":x", ":", ""])).map("".join),
+    max_size=3).map(",".join)
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+
+
+@st.composite
+def fuzz_argv(draw, command, files):
+    """One command line: mostly well-formed flags with edge-case values."""
+    path = st.sampled_from(["both.csv", "single.csv", "low.csv", "params.json", "missing.csv"]
+                           ).map(lambda name: str(files / name))
+    params = st.sampled_from(["params.json", "empty.json", "both.csv", "missing.json"]
+                             ).map(lambda name: str(files / name))
+    source = st.one_of(optional("--preset", FUZZ_PRESETS), optional("--params", params))
+    parts = {
+        "fit": [path.map(lambda p: ["--input", p]), optional("--scenario", FUZZ_SCENARIOS),
+                optional("--families", st.sampled_from(["auto", "ci", "fi,abg", "CIF,ci",
+                                                        "ci,xyz", ",", "cix"])),
+                optional("--f0", FUZZ_NUMBERS), optional("--mode", st.sampled_from(
+                    ["strict", "lax"]))],
+        "compare": [path.map(lambda p: ["--input", p]), optional("--scenario", FUZZ_SCENARIOS),
+                    optional("--f0", FUZZ_NUMBERS), optional("--mode", st.sampled_from(
+                        ["strict", "lax"]))],
+        "report": [source, optional("--style", st.sampled_from(
+            ["table3", "table4", "table5", "table6"]))],
+        "synth": [source, optional("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
+                  optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
+                  optional("--freqs", FUZZ_BLOCKS), optional("--dmin", FUZZ_NUMBERS),
+                  optional("--dmax", FUZZ_NUMBERS),
+                  optional("--seed", st.sampled_from(["0", "3", "-1", "x"]))],
+    }[command]
+    return [command, *(token for part in parts for token in draw(part))]
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", ["synth", "report", "compare", "fit"])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_classified(self, fuzz_files, command, data):
+        argv = data.draw(fuzz_argv(command, fuzz_files))
+        code, _, err, caught = run_main(argv)
+        assert code in (0, 2, 3, 4)
+        assert caught == []
+        assert "Traceback" not in err and "Warning" not in err
+
+
+SYNTH_MODELS = st.sampled_from([("table5:nlos-cp", family) for family in
+                                ("CI", "CIX", "CIF", "CIFX", "ABG", "ABGX")]
+                               + [("table3:28:VV:NLOS:CO", "FI"), ("table3:73:VH:NLOS:CO", "CI")])
+
+
+# frequency blocks synth mostly accepts, edge cases included
+SYNTH_BLOCKS = st.lists(
+    st.tuples(st.sampled_from(["28", "73", "39", "0.3", "0.001", "1e30"]),
+              st.sampled_from([":1", ":2", ":5", ""])).map("".join),
+    min_size=1, max_size=3).map(",".join)
+
+
+class TestSynthFitClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(model=SYNTH_MODELS, pol=st.sampled_from(["VV", "VH"]), freqs=SYNTH_BLOCKS,
+           dmin=st.sampled_from(["1", "3.9", "10"]), dmax=st.sampled_from(["10", "45.9", "1e4"]),
+           seed=st.integers(0, 3))
+    def test_what_synth_writes_fit_reads(self, tmp_path_factory, model, pol, freqs, dmin,
+                                         dmax, seed):
+        path = tmp_path_factory.getbasetemp() / "closure-synth.csv"
+        code = run_main(["synth", "--preset", model[0], "--model", model[1],
+                         "--scenario", f"NLOS:CO:{pol}", "--freqs", freqs, "--dmin", dmin,
+                         "--dmax", dmax, "--seed", str(seed), "--output", str(path)])[0]
+        if code == 0:
+            assert run_main(["fit", "--input", str(path), "--mode", "strict"])[0] != 3

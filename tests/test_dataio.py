@@ -559,6 +559,26 @@ class TestParamsJson:
         assert str(info.value) == ("read_params_json: bad parameter object: "
                                    "sigma_db must be finite and non-negative")
 
+    def test_xpd_base_message_is_prefixed_once(self):
+        doc = json.loads(dumps_params(demo_report()))
+        doc["rows"][4]["params"]["base"]["n"] = float("-inf")
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(json.dumps(doc)))
+        assert str(info.value) == ("read_params_json: bad parameter object: "
+                                   "CIF parameter n must be a finite number, got -inf")
+
+    def test_row_model_must_match_its_params(self):
+        doc = json.loads(dumps_params(demo_report()))
+        doc["rows"][1]["model"] = "CI"
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(json.dumps(doc)))
+        assert str(info.value) == ("read_params_json: bad report row: model 'CI' "
+                                   "does not match its params' model 'FI'")
+        doc["rows"][3]["source"] = 5  # a later row's own fault is named first
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(json.dumps(doc)))
+        assert str(info.value) == "read_params_json: bad report row: source must be a string, got 5"
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "params.json"
         write_params_json(demo_report(), str(path))
@@ -627,6 +647,8 @@ def reference_params_from_fields(obj):
         if model in ("CIX", "ABGX", "CIFX"):
             return XpdExtension(reference_params_from_fields(obj["base"]),
                                 num("xpd_db"), num("sigma_db"))
+    except DataError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad parameter object: {exc}") from None
     raise DataError(f"read_params_json: unknown model {obj.get('model')!r}")
@@ -657,6 +679,17 @@ def reference_row_from_json(obj):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad report row: {exc}") from None
+
+
+def reference_read_rows(rows):
+    """read_params_json's rows: each row read, then every row's model
+    checked against its params' model."""
+    report = FitReport(tuple(map(reference_row_from_json, rows)))
+    for row in report.rows:
+        if row.family != row.params.family:
+            raise DataError(f"read_params_json: bad report row: model {row.family!r} "
+                            f"does not match its params' model {row.params.family!r}")
+    return report
 
 
 def params_strategy(number):
@@ -732,5 +765,5 @@ class TestParamsCodec:
                 return str(exc)
 
         got = outcome(lambda: read_params_json(io.StringIO(text)))
-        want = outcome(lambda: FitReport(tuple(map(reference_row_from_json, doc["rows"]))))
+        want = outcome(lambda: reference_read_rows(doc["rows"]))
         assert got == want

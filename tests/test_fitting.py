@@ -675,7 +675,12 @@ def ref_cif(t, f0_ghz):
         raise SingularDesignError(
             "fit_cif: frequency column degenerate, single-frequency dataset",
             regressor="frequency")
+    if f0 == 0.0:
+        raise NumericalError("fit_cif: reference frequency f0 rounds to 0 GHz, "
+                             "the mean frequency is below 0.5 GHz")
     weighted = t.dec * (t.f - f0) / f0
+    if not np.all(np.isfinite(weighted)):
+        raise NumericalError("fit_cif: frequency-weighted distance column overflows float64")
     design = np.column_stack((t.dec, weighted))
     u, v = ref_solve_normal(design.T @ design, design.T @ t.excess,
                             ("distance", "frequency-weighted distance"))
@@ -744,8 +749,7 @@ class TestKernelsMatchTheNumpyReference:
     @settings(max_examples=500, deadline=None)
     @given(columns=kernel_partitions(),
            f0=st.sampled_from([None, None, 40.0, 50.0, 1e-300, 1e308]))
-    # below 0.5 GHz f0 rounds to 0, and at 1 m the CIF weighting is 0 / 0:
-    # NaN normal matrices, with a zero beside a NaN in the first column
+    # below 0.5 GHz f0 rounds to 0, which CIF refuses before dividing by it
     @example(columns=(np.array([0.2, 0.4]), np.array([1.0, 1.0]), np.array([50.0, 60.0])),
              f0=None)
     @example(columns=(np.array([0.2, 0.4, 0.4]), np.array([1.0, 3.0, 1.0]),
