@@ -4,6 +4,10 @@ Every command is deterministic: the same inputs (and, for synth, the same
 seed) produce byte-identical outputs. Errors exit with a class-specific
 code so scripts can tell misuse (2) from bad data (3) from numerically
 ill-posed fits (4).
+
+`main` builds its argparse parser on the first call and reuses it for every
+later call in the process; `build_parser()` returns a new parser each time,
+for callers that extend it.
 """
 
 from __future__ import annotations
@@ -311,9 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: parsing keeps no state between calls
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

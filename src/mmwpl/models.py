@@ -48,6 +48,13 @@ def _checked_distance(distance_m):
     return d
 
 
+def _checked_frequency(frequency_ghz):
+    f = np.asarray(frequency_ghz, dtype=float)
+    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
+        raise DomainError("frequency must be finite and positive")
+    return f
+
+
 def _require_frequency(frequency_ghz, family: str):
     if frequency_ghz is None:
         raise DomainError(f"frequency is required by the {family} family")
@@ -95,6 +102,8 @@ class FiParams:
         _check_sigma(self.sigma_db)
 
     def mean_path_loss_db(self, frequency_ghz, distance_m):
+        if frequency_ghz is not None:
+            _checked_frequency(frequency_ghz)
         d = _checked_distance(distance_m)
         return self.alpha_db + 10.0 * self.beta_slope * np.log10(d)
 
@@ -120,9 +129,7 @@ class AbgParams:
         _check_reference(self.d0_m)
 
     def mean_path_loss_db(self, frequency_ghz, distance_m):
-        f = np.asarray(_require_frequency(frequency_ghz, self.family), dtype=float)
-        if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-            raise DomainError("frequency must be finite and positive")
+        f = _checked_frequency(_require_frequency(frequency_ghz, self.family))
         return self._mean_db(f, _checked_distance(distance_m))
 
     def _mean_db(self, f, d):
@@ -203,8 +210,9 @@ MODEL_FAMILIES = ("CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX")
 def predict(model: PathLossModel, frequency_ghz, distance_m):
     """Mean path loss in dB at (frequency, distance), shadow fading excluded.
 
-    frequency_ghz is required by every family except FI, which ignores it
-    (None is accepted there). Distances below the 1 m reference raise
+    frequency_ghz is required by every family except FI, which ignores its
+    value (None is accepted there, but a given frequency must still be
+    finite and positive). Distances below the 1 m reference raise
     DomainError; inputs or parameters so large that the mean overflows
     float64 raise NumericalError. Scalars give a float; arrays broadcast.
     """

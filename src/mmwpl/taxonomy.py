@@ -20,9 +20,14 @@ from .errors import DataError, UsageError
 MIN_DISTANCE_M = 1.0  # close-in reference distance; the models are undefined below it
 
 
+# Enum's own __hash__ is a Python-level method that hashes the member name;
+# members are singletons compared by identity, so object.__hash__ fits and
+# every ScenarioKey and label lookup hashes in C.
 class Environment(enum.Enum):
     LOS = "LOS"
     NLOS = "NLOS"
+
+    __hash__ = object.__hash__
 
 
 class Layout(enum.Enum):
@@ -32,12 +37,16 @@ class Layout(enum.Enum):
     OPEN_PLAN = "OP"
     CLOSED_PLAN = "CP"
 
+    __hash__ = object.__hash__
+
 
 class Polarization(enum.Enum):
     """Antenna polarization of one sample: co-polarized or cross-polarized."""
 
     VV = "VV"
     VH = "VH"
+
+    __hash__ = object.__hash__
 
 
 class PolarizationClass(enum.Enum):
@@ -46,6 +55,8 @@ class PolarizationClass(enum.Enum):
     VV = "VV"
     VH = "VH"
     COMBINED = "Comb"
+
+    __hash__ = object.__hash__
 
     def matches(self, polarization: Polarization) -> bool:
         if self is PolarizationClass.COMBINED:

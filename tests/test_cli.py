@@ -4,14 +4,18 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwpl import dataio, presets
+from mmwpl import cli, dataio, presets
 from mmwpl.cli import main
 from mmwpl.errors import DomainError, NumericalError
 from mmwpl.models import CiParams, predict
@@ -552,9 +556,14 @@ class TestPredictGrid:
         ("CIF", ["28", "1e308"], ["5", "10"], "numerical error: predict: non-finite"),
         ("CIF", ["1e308"], ["5", "0.5"], "numerical error: predict: non-finite"),
         ("CIF", ["1e308"], ["0.5", "5"], "data error: distance below the 1 m reference"),
+        ("FI", ["-5"], ["5"], "data error: frequency must be finite and positive"),
+        ("FI", ["28", "nan"], ["5", "10"], "data error: frequency must be finite and positive"),
+        ("FI", ["inf"], ["0.5"], "data error: frequency must be finite and positive"),
+        ("FI", ["28", "-5"], ["5", "0.5"], "data error: distance below the 1 m reference"),
     ])
     def test_first_failing_point_names_the_error(self, family, freqs, dists, error):
-        code, out, err, _ = run_main(["predict", "--preset", "table5:nlos-cp",
+        selector = "table3:28:VV:LOS:CO" if family == "FI" else "table5:nlos-cp"
+        code, out, err, _ = run_main(["predict", "--preset", selector,
                                       "--model", family, "--f", *freqs, "--d", *dists])
         assert (code, out) == (3 if error.startswith("data") else 4, "")
         assert err.startswith(error)
@@ -860,6 +869,55 @@ class TestArgumentErrors:
         assert run_main(["fit", "--input", str(path)]) == (
             3, "", "data error: read_csv: header row: field larger than field limit (131072)\n",
             [])
+
+
+# ------------------------------------------------------ one parser per process
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in a new interpreter, which
+    also checks that importing mmwpl.cli builds no parser."""
+    script = ("import sys, mmwpl.cli as cli; assert cli._parser is None; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    def test_main_builds_one_parser_for_many_calls(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in (["report", "--preset", "table5:nlos-cp"],
+                     ["predict", "--preset", "table5:nlos-cp", "--model", "CI",
+                      "--f", "28", "--d", "5"],
+                     ["report", "--preset", "table3:multi"]):
+            run_main(argv)
+        assert built == [1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_a_usage_exit_leaves_no_state(self):
+        bad = ["predict", "--preset", "table5:nlos-cp", "--model", "CI", "--f", "x"]
+        good = ["report", "--preset", "table5:nlos-cp"]
+        first = run_main(bad)
+        assert first[0] == 2
+        assert run_main(bad) == first
+        assert run_main(good)[:3] == fresh_process(good)
+
+    def test_frequencies_do_not_carry_over(self):
+        fi = ["predict", "--preset", "table3:28:VV:LOS:CO", "--model", "FI", "--d", "10"]
+        run_main([*fi, "--f", "28"])
+        assert run_main(fi) == (0, "freq_ghz,distance_m,path_loss_db\n,10,72.6000\n", "", [])
+        assert cli._parser.parse_args(fi).freq == []
 
 
 # ----------------------------------------------------- argv fuzz and closure
