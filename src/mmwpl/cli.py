@@ -103,14 +103,17 @@ def _cmd_fit(args) -> int:
 # ------------------------------------------------------------- predict
 
 def _resolve_model(args):
+    """The one --model row of --params or --preset that --fit-freq and --scenario
+    select; synth's --scenario only tags its samples when the source is --preset."""
     family = args.model.upper()
     if family not in MODEL_FAMILIES:
         raise UsageError(f"unknown model family {args.model!r}; choose from {MODEL_FAMILIES}")
     if args.preset is not None:
-        return presets.preset_model(args.preset, family)
-    report = dataio.read_params_json(args.params)
+        report = presets.preset_report(args.preset)
+    else:
+        report = dataio.read_params_json(args.params)
     scenario = None
-    if args.scenario:
+    if args.scenario and (args.command == "predict" or args.preset is None):
         scenario = ScenarioKey(*parse_scenario(args.scenario, need_pol=True))
     freq = ANY_FREQ
     if args.fit_freq is not None:
@@ -123,35 +126,17 @@ def _resolve_model(args):
     return report.single(family, scenario, freq).params
 
 
-def _predict_row(model, freq, dists: list[float]) -> list[float]:
-    """predict at one frequency over every distance, in one array call.
-
-    A DomainError names the first check the whole row fails, so the points
-    are then redone one by one to raise the first failing point's error, as
-    a per-point loop would. A NumericalError comes only from a row with no
-    domain error and names no point, so it stands as raised.
-    """
-    try:
-        return predict(model, freq, np.array(dists)).tolist()
-    except DomainError:
-        for d in dists:
-            predict(model, freq, d)
-        raise
-
-
 def _cmd_predict(args) -> int:
     model = _resolve_model(args)
-    if model.family == "FI":
-        freqs = args.freq if args.freq else [None]
-    else:
-        if not args.freq:
-            raise UsageError(f"--freq is required for the {model.family} family")
-        freqs = args.freq
-    lines = ["freq_ghz,distance_m,path_loss_db"]
+    if model.family != "FI" and not args.freq:
+        raise UsageError(f"--freq is required for the {model.family} family")
+    # one grid row per --freq value; FI without any gets one row of empty cells
+    freqs = np.array(args.freq)[:, None] if args.freq else None
+    grid = np.atleast_2d(predict(model, freqs, np.array(args.dist)))
+    f_cells = [f"{f:g}" for f in args.freq] or [""]
     d_cells = [f"{d:g}" for d in args.dist]
-    for f in freqs:
-        f_cell = "" if f is None else f"{f:g}"
-        losses = _predict_row(model, f, args.dist)
+    lines = ["freq_ghz,distance_m,path_loss_db"]
+    for f_cell, losses in zip(f_cells, grid.tolist()):
         lines.extend(f"{f_cell},{d},{loss:.4f}" for d, loss in zip(d_cells, losses))
     _write_text("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -265,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--params", help="params JSON from a fit run")
     src.add_argument("--preset", help="published preset selector, e.g. table3:28:VV:LOS:CO")
     predict_p.add_argument("--model", required=True, help="model family, e.g. CI")
-    predict_p.add_argument("--scenario", help="ENV:LAYOUT:POL row filter for --params")
-    predict_p.add_argument("--fit-freq",
-                           help="row filter for --params: a GHz value or 'multi'")
+    predict_p.add_argument("--scenario", help="ENV:LAYOUT:POL row filter")
+    predict_p.add_argument("--fit-freq", help="row filter: a GHz value or 'multi'")
     predict_p.add_argument("--freq", "--f", action="extend", nargs="+", type=float,
                            default=[], help="frequencies in GHz")
     predict_p.add_argument("--dist", "--d", action="extend", nargs="+", type=float,
@@ -281,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="published preset selector")
     synth.add_argument("--model", required=True, help="model family to draw from")
     synth.add_argument("--scenario", required=True,
-                       help="ENV:LAYOUT:POL tag for the generated samples")
-    synth.add_argument("--fit-freq", help="row filter for --params: GHz value or 'multi'")
+                       help="ENV:LAYOUT:POL tag for the generated samples; "
+                            "also a row filter for --params")
+    synth.add_argument("--fit-freq", help="row filter: a GHz value or 'multi'")
     synth.add_argument("--freqs", required=True,
                        help="frequency blocks GHZ:COUNT[,GHZ:COUNT...], e.g. 28:100,73:100")
     synth.add_argument("--dmin", type=float, default=3.9,

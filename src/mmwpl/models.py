@@ -12,6 +12,10 @@ a constant cross-polarization discrimination offset in dB.
 
 Predictions are the mean path loss only; shadow fading is carried as the
 sigma_db attribute and applied by the synthesis module.
+
+Each class holds only an unchecked _mean_db(f, d). The shared
+mean_path_loss_db method and predict check every point against the
+samples' domain, taxonomy.POINT_RULES.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .freespace import friis_db, fspl_db
-from .taxonomy import MIN_DISTANCE_M, Dataset, ensure_fit_ready
+from .freespace import friis_db
+from .taxonomy import POINT_RULES, Dataset, ensure_fit_ready
 
 REFERENCE_DISTANCE_M = 1.0
 
@@ -37,28 +41,6 @@ def _check_sigma(sigma_db: float) -> None:
 def _check_reference(d0_m: float) -> None:
     if d0_m != REFERENCE_DISTANCE_M:
         raise ValueError("reference distance is fixed at 1 m")
-
-
-def _checked_distance(distance_m):
-    d = np.asarray(distance_m, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise DomainError("distance must be finite")
-    if np.any(d < MIN_DISTANCE_M):
-        raise DomainError("distance below the 1 m reference distance")
-    return d
-
-
-def _checked_frequency(frequency_ghz):
-    f = np.asarray(frequency_ghz, dtype=float)
-    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-        raise DomainError("frequency must be finite and positive")
-    return f
-
-
-def _require_frequency(frequency_ghz, family: str):
-    if frequency_ghz is None:
-        raise DomainError(f"frequency is required by the {family} family")
-    return frequency_ghz
 
 
 @dataclass(frozen=True)
@@ -75,13 +57,8 @@ class CiParams:
         _check_sigma(self.sigma_db)
         _check_reference(self.d0_m)
 
-    def mean_path_loss_db(self, frequency_ghz, distance_m):
-        f = _require_frequency(frequency_ghz, self.family)
-        return self._mean_db(f, _checked_distance(distance_m), fspl_db)
-
-    def _mean_db(self, f, d, fspl=friis_db):
-        """The mean on f and d; unchecked unless fspl is fspl_db."""
-        return fspl(f, REFERENCE_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
+    def _mean_db(self, f, d):
+        return friis_db(f, REFERENCE_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
 
 
 @dataclass(frozen=True)
@@ -101,10 +78,8 @@ class FiParams:
     def __post_init__(self):
         _check_sigma(self.sigma_db)
 
-    def mean_path_loss_db(self, frequency_ghz, distance_m):
-        if frequency_ghz is not None:
-            _checked_frequency(frequency_ghz)
-        d = _checked_distance(distance_m)
+    def _mean_db(self, f, d):
+        d = np.broadcast_to(d, np.broadcast(f, d).shape)  # f shapes the grid only
         return self.alpha_db + 10.0 * self.beta_slope * np.log10(d)
 
 
@@ -127,10 +102,6 @@ class AbgParams:
     def __post_init__(self):
         _check_sigma(self.sigma_db)
         _check_reference(self.d0_m)
-
-    def mean_path_loss_db(self, frequency_ghz, distance_m):
-        f = _checked_frequency(_require_frequency(frequency_ghz, self.family))
-        return self._mean_db(f, _checked_distance(distance_m))
 
     def _mean_db(self, f, d):
         return (
@@ -162,13 +133,9 @@ class CifParams:
         if not math.isfinite(self.f0_ghz) or self.f0_ghz <= 0.0:
             raise ValueError("f0_ghz must be finite and positive")
 
-    def mean_path_loss_db(self, frequency_ghz, distance_m):
-        f = np.asarray(_require_frequency(frequency_ghz, self.family), dtype=float)
-        return self._mean_db(f, _checked_distance(distance_m), fspl_db)
-
-    def _mean_db(self, f, d, fspl=friis_db):
+    def _mean_db(self, f, d):
         slope = self.n * (1.0 + self.b * (f - self.f0_ghz) / self.f0_ghz)
-        return fspl(f, REFERENCE_DISTANCE_M) + 10.0 * slope * np.log10(d)
+        return friis_db(f, REFERENCE_DISTANCE_M) + 10.0 * slope * np.log10(d)
 
 
 CoPolarizedParams = Union[CiParams, AbgParams, CifParams]
@@ -198,8 +165,8 @@ class XpdExtension:
     def family(self) -> str:
         return self.base.family + "X"
 
-    def mean_path_loss_db(self, frequency_ghz, distance_m):
-        return self.base.mean_path_loss_db(frequency_ghz, distance_m) + self.xpd_db
+    def _mean_db(self, f, d):
+        return self.base._mean_db(f, d) + self.xpd_db
 
 
 PathLossModel = Union[CiParams, FiParams, AbgParams, CifParams, XpdExtension]
@@ -207,25 +174,63 @@ PathLossModel = Union[CiParams, FiParams, AbgParams, CifParams, XpdExtension]
 MODEL_FAMILIES = ("CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX")
 
 
+def _grid(model: PathLossModel, frequency_ghz, distance_m):
+    """frequency_ghz and distance_m as float arrays; they broadcast to the grid."""
+    if frequency_ghz is None:
+        if model.family != "FI":
+            raise DomainError(f"frequency is required by the {model.family} family")
+        frequency_ghz = 1.0  # FI never reads it; any valid frequency stands in
+    return np.asarray(frequency_ghz, dtype=float), np.asarray(distance_m, dtype=float)
+
+
+def _check_points(model: PathLossModel, f, d, mean=None) -> None:
+    """Raise the error of the first failing point of the f x d grid in C order:
+    the DomainError of the first POINT_RULES rule it breaks, else, with mean
+    given, NumericalError for a non-finite mean."""
+    masks = [rule(f, d) for _, rule in POINT_RULES]
+    if mean is not None:
+        masks.append(~np.isfinite(mean))
+    if not any(mask.any() for mask in masks):
+        return
+    shape = np.broadcast(f, d).shape
+    masks = [np.broadcast_to(mask, shape) for mask in masks]
+    point = np.unravel_index(np.argmax(np.logical_or.reduce(masks)), shape)
+    for (message, _), mask in zip(POINT_RULES, masks):
+        if mask[point]:
+            raise DomainError(message)
+    raise NumericalError(f"predict: non-finite {model.family} mean path loss, "
+                         "the inputs overflow float64")
+
+
+def mean_path_loss_db(self: PathLossModel, frequency_ghz, distance_m):
+    """Mean path loss in dB, the method of every parameter class: predict's
+    DomainErrors, but a mean that overflows float64 is returned as is."""
+    f, d = _grid(self, frequency_ghz, distance_m)
+    _check_points(self, f, d)
+    return self._mean_db(f, d)
+
+
+for _cls in (CiParams, FiParams, AbgParams, CifParams, XpdExtension):
+    _cls.mean_path_loss_db = mean_path_loss_db
+
+
 def predict(model: PathLossModel, frequency_ghz, distance_m):
     """Mean path loss in dB at (frequency, distance), shadow fading excluded.
 
     frequency_ghz is required by every family except FI, which ignores its
     value (None is accepted there, but a given frequency must still be
-    finite and positive). Distances below the 1 m reference raise
-    DomainError; inputs or parameters so large that the mean overflows
-    float64 raise NumericalError. Scalars give a float; arrays broadcast.
+    finite and positive). The grid is evaluated once; its first failing
+    point in C order names the error: the first taxonomy.POINT_RULES rule
+    the point breaks (finite positive frequency, finite distance of at
+    least 1 m) raises DomainError, else a mean that overflows float64
+    raises NumericalError. Scalars give a float; arrays broadcast.
     """
-    # numpy's overflow warnings would only repeat the NumericalError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = model.mean_path_loss_db(frequency_ghz, distance_m)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(
-            f"predict: non-finite {model.family} mean path loss, the inputs overflow float64"
-        )
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    f, d = _grid(model, frequency_ghz, distance_m)
+    # out-of-domain and overflowing points are reported by _check_points
+    with np.errstate(all="ignore"):
+        out = model._mean_db(f, d)
+    _check_points(model, f, d, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def residual_sigma(model: PathLossModel, dataset: Dataset) -> float:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, NumericalError
 from .models import PathLossModel, predict
 from .taxonomy import (
     CODE,
-    MIN_DISTANCE_M,
+    POINT_RULES,
     Dataset,
     Polarization,
     PolarizationClass,
@@ -51,8 +51,11 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     Identical specs give identical datasets. The scenario must name a
     concrete polarization (VV or VH): samples always carry a single
     polarization, so the Combined class cannot be synthesized directly.
-    A drawn sample that breaks the invariants read_csv applies, such as a
-    non-positive path loss, raises DataError, naming the first one.
+    The block frequencies and the ends of the distance range must satisfy
+    taxonomy.POINT_RULES (DomainError); a drawn distance or mean that
+    overflows float64 raises NumericalError. A drawn sample that breaks the
+    invariants read_csv applies, such as a non-positive path loss, raises
+    DataError, naming the first one.
     """
     if spec.scenario.polarization_class is PolarizationClass.COMBINED:
         raise DataError(
@@ -60,30 +63,31 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
             "tag samples VV or VH and combine afterwards"
         )
     polarization = Polarization(spec.scenario.polarization_class.value)
-    d_lo, d_hi = (float(v) for v in spec.distance_range_m)
-    if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-        raise DomainError("synthesize: distance range must be finite")
-    if d_lo < MIN_DISTANCE_M:
-        raise DomainError("synthesize: minimum distance below the 1 m reference")
-    if d_hi < d_lo:
-        raise DomainError("synthesize: empty distance range")
     if (isinstance(spec.seed, bool) or not isinstance(spec.seed, numbers.Integral)
             or spec.seed < 0):
         raise DataError(f"synthesize: seed must be a non-negative integer, got {spec.seed!r}")
     if len(spec.frequencies) == 0:
         raise DataError("synthesize: no frequency blocks requested")
-    for f_ghz, count in spec.frequencies:
-        if not math.isfinite(f_ghz) or f_ghz <= 0.0:
-            raise DomainError(f"synthesize: bad frequency {f_ghz!r}")
+    for _, count in spec.frequencies:
         if isinstance(count, bool) or int(count) != count or count <= 0:
             raise DataError(f"synthesize: bad sample count {count!r}")
+    block_freqs = np.array([f_ghz for f_ghz, _ in spec.frequencies], dtype=float)
+    d_lo, d_hi = (float(v) for v in spec.distance_range_m)
+    for message, rule in POINT_RULES:
+        if rule(block_freqs[:, None], np.array([d_lo, d_hi])).any():
+            raise DomainError(f"synthesize: {message}")
+    if d_hi < d_lo:
+        raise DomainError("synthesize: empty distance range")
 
     rng = np.random.default_rng(spec.seed)
     sigma = spec.model.sigma_db
     freqs, distances, losses = [], [], []
     for f_ghz, count in spec.frequencies:
         count = int(count)
-        block = 10.0 ** rng.uniform(math.log10(d_lo), math.log10(d_hi), count)
+        with np.errstate(over="ignore"):  # reported just below
+            block = 10.0 ** rng.uniform(math.log10(d_lo), math.log10(d_hi), count)
+        if not np.isfinite(block).all():
+            raise NumericalError("synthesize: drawn distance overflows float64")
         mean = predict(spec.model, float(f_ghz), block)
         fading = rng.normal(0.0, sigma, count) if sigma > 0.0 else np.zeros(count)
         freqs.append(np.full(count, float(f_ghz)))

@@ -78,16 +78,18 @@ class PathLossSample:
     rx_id: Optional[str] = None
 
 
-# The sample invariants in report order: a message and the mask of the
-# samples that break it, over the frequency, distance and path loss columns.
-_RULES = (
-    ("frequency must be finite and positive",
-     lambda f, d, pl: ~(np.isfinite(f) & (f > 0))),
-    ("distance must be finite", lambda f, d, pl: ~np.isfinite(d)),
-    ("distance below the 1 m reference",
-     lambda f, d, pl: np.isfinite(d) & (d < MIN_DISTANCE_M)),
-    ("path loss must be finite", lambda f, d, pl: ~np.isfinite(pl)),
-    ("path loss must be positive", lambda f, d, pl: np.isfinite(pl) & (pl <= 0)),
+# The (frequency, distance) domain every sample and every model evaluation
+# shares, in report order: a message and the mask of the points that break it.
+POINT_RULES = (
+    ("frequency must be finite and positive", lambda f, d: ~(np.isfinite(f) & (f > 0))),
+    ("distance must be finite", lambda f, d: ~np.isfinite(d)),
+    ("distance below the 1 m reference", lambda f, d: np.isfinite(d) & (d < MIN_DISTANCE_M)),
+)
+
+# The rules on a sample's path loss, reported after the point rules.
+_PATH_LOSS_RULES = (
+    ("path loss must be finite", lambda pl: ~np.isfinite(pl)),
+    ("path loss must be positive", lambda pl: np.isfinite(pl) & (pl <= 0)),
 )
 
 
@@ -98,10 +100,11 @@ def sample_violations(f: np.ndarray, d: np.ndarray, pl: np.ndarray) -> dict[int,
     its violation messages in rule order; samples that pass are absent.
     This one rule set serves validate_sample, ensure_fit_ready and read_csv.
     """
-    masks = [rule(f, d, pl) for _, rule in _RULES]
+    rules = [(message, rule(f, d)) for message, rule in POINT_RULES]
+    rules += [(message, rule(pl)) for message, rule in _PATH_LOSS_RULES]
     return {
-        int(i): [message for (message, _), mask in zip(_RULES, masks) if mask[i]]
-        for i in np.flatnonzero(np.logical_or.reduce(masks))
+        int(i): [message for message, mask in rules if mask[i]]
+        for i in np.flatnonzero(np.logical_or.reduce([mask for _, mask in rules]))
     }
 
 

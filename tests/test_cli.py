@@ -136,6 +136,32 @@ class TestPredict:
         assert lines[1].startswith("28,5,")
         assert lines[-1].startswith("73,20,")
 
+    @pytest.mark.parametrize("selector, family, filters", [
+        ("table5:nlos-cp", "CIF", ["--scenario", "LOS:CO:VV"]),
+        ("table5:nlos-cp", "CIF", ["--fit-freq", "28"]),
+        ("table3:28:VV:LOS:CO", "CI", ["--fit-freq", "73"]),
+        ("table3:28:VV:LOS:CO", "CI", ["--scenario", "LOS:CO:VH"]),
+    ])
+    def test_preset_rows_that_the_filters_exclude_are_usage(self, selector, family, filters):
+        code, out, err, _ = run_main(["predict", "--preset", selector, "--model", family,
+                                      *filters, "--f", "28", "--d", "10"])
+        assert (code, out, err) == (2, "", f"usage error: no {family} row matches the request\n")
+
+    @pytest.mark.parametrize("selector, family, filters, unfiltered", [
+        ("table5:nlos-cp", "CIF", ["--scenario", "nlos:cp:vv", "--fit-freq", "multi"],
+         "table5:nlos-cp"),
+        ("table3:28:VV:LOS:CO", "FI", ["--scenario", "LOS:CO:VV", "--fit-freq", "28"],
+         "table3:28:VV:LOS:CO"),
+        ("table5", "ABGX", ["--scenario", "NLOS:OP:VH"], "table5:nlos-op"),
+    ])
+    def test_preset_rows_that_the_filters_keep_print_the_same(self, selector, family,
+                                                             filters, unfiltered):
+        grid = ["--f", "28", "73", "--d", "1", "10", "45.9"]
+        expected = run_main(["predict", "--preset", unfiltered, "--model", family, *grid])
+        assert expected[0] == 0
+        assert run_main(["predict", "--preset", selector, "--model", family,
+                         *filters, *grid]) == expected
+
     def test_params_file_with_row_filters(self, clean_ci_csv, tmp_path, capsys):
         out = tmp_path / "params.json"
         main(["fit", "--input", clean_ci_csv, "--output", str(out)])
@@ -172,6 +198,16 @@ class TestSynth:
         assert main(argv + ["--seed", "11", "--output", str(a)]) == 0
         assert main(argv + ["--seed", "12", "--output", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_fit_freq_selects_a_preset_row_the_scenario_only_tags(self):
+        argv = ["synth", "--preset", "table3:VV:LOS:CO", "--model", "CI",
+                "--scenario", "NLOS:CP:VH", "--freqs", "28:5"]
+        assert run_main(argv)[:3] == (2, "", "usage error: CI selection is ambiguous (2 rows)\n")
+        code, out, err, _ = run_main(argv + ["--fit-freq", "73"])
+        assert (code, err) == (0, "")
+        assert out == run_main(["synth", "--preset", "table3:73:VV:LOS:CO", "--model", "CI",
+                                "--scenario", "NLOS:CP:VH", "--freqs", "28:5"])[1]
+        assert out.splitlines()[1].endswith(",VH,NLOS,CP,,")
 
 
 class TestReport:
@@ -472,11 +508,16 @@ class TestNonFiniteInputs:
         assert err.count("\n") == 1
 
     def test_overflowing_synthesis_is_numerical(self):
-        code, out, err, caught = run_main(["synth", "--preset", "table5:nlos-cp",
-                                           "--model", "CIF", "--scenario", "NLOS:CP:VV",
-                                           "--freqs", "1e308:5"])
-        assert (code, out, caught) == (4, "", [])
-        assert err.startswith("numerical error: predict: non-finite CIF")
+        top = "1.7976931348623157e308"
+        for options, error in (
+                (["--freqs", "1e308:5"], "numerical error: predict: non-finite CIF"),
+                (["--freqs", "28:3", "--dmin", top, "--dmax", top],
+                 "numerical error: synthesize: drawn distance overflows float64\n")):
+            code, out, err, caught = run_main(["synth", "--preset", "table5:nlos-cp",
+                                               "--model", "CIF", "--scenario", "NLOS:CP:VV",
+                                               *options])
+            assert (code, out, caught) == (4, "", [])
+            assert err.startswith(error)
 
     @pytest.mark.parametrize("edit, field", [
         (set_param(1, "alpha_db", float("nan")), "FI parameter alpha_db"),
@@ -551,7 +592,7 @@ class TestPredictGrid:
         ("CI", ["28"], ["5", "0.5", "inf"], "data error: distance below the 1 m reference"),
         ("CI", ["28"], ["5", "inf", "0.5"], "data error: distance must be finite"),
         ("CI", ["28", "-3"], ["inf"], "data error: distance must be finite"),
-        ("CI", ["-3"], ["5", "inf"], "data error: fspl_db: frequency must be"),
+        ("CI", ["-3"], ["5", "inf"], "data error: frequency must be finite and positive"),
         ("ABG", ["-3"], ["inf"], "data error: frequency must be finite and positive"),
         ("CIF", ["28", "1e308"], ["5", "10"], "numerical error: predict: non-finite"),
         ("CIF", ["1e308"], ["5", "0.5"], "numerical error: predict: non-finite"),

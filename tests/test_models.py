@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmwpl.errors import DomainError
+from mmwpl import presets
+from mmwpl.errors import DomainError, NumericalError
 from mmwpl.freespace import fspl_db
 from mmwpl.models import (
     AbgParams,
@@ -11,6 +14,7 @@ from mmwpl.models import (
     CiParams,
     FiParams,
     XpdExtension,
+    mean_path_loss_db,
     predict,
     residual_sigma,
 )
@@ -94,6 +98,67 @@ class TestPrediction:
                       CifParams(2.0, 0.1, 50.0, 0.0)):
             with pytest.raises(DomainError):
                 predict(model, None, 10.0)
+
+
+# the seven families as published, and grid values with every edge of the domain
+PRESET_MODELS = [presets.preset_model("table5:nlos-cp", family)
+                 for family in ("CI", "CIX", "CIF", "CIFX", "ABG", "ABGX")]
+PRESET_MODELS.append(presets.preset_model("table3:28:VV:LOS:CO", "FI"))
+GRID_VALUES = [28.0, 73.0, 5.0, 45.9, 1.0, 0.5, 0.0, -0.0, -3.0, 1e-300, 1e308, -1e308,
+               np.inf, -np.inf, np.nan]
+GRID_AXIS = st.lists(st.sampled_from(GRID_VALUES[:4] * 3 + GRID_VALUES), min_size=1,
+                     max_size=5).map(np.array)
+
+
+def point_by_point(model, freqs, dists):
+    """predict at every point of the freqs x dists grid in C order, or the first error."""
+    try:
+        return np.array([[predict(model, f, d) for d in dists] for f in freqs])
+    except (DomainError, NumericalError) as exc:
+        return exc
+
+
+class TestPredictContract:
+    @settings(max_examples=400, deadline=None)
+    @given(model=st.sampled_from(PRESET_MODELS), freqs=GRID_AXIS, dists=GRID_AXIS)
+    def test_grid_matches_the_point_loop(self, model, freqs, dists):
+        expected = point_by_point(model, freqs.tolist(), dists.tolist())
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as raised:
+                predict(model, freqs[:, None], dists[None, :])
+            assert str(raised.value) == str(expected)
+        else:
+            out = predict(model, freqs[:, None], dists[None, :])
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(PRESET_MODELS), freqs=GRID_AXIS, dists=GRID_AXIS)
+    def test_method_raises_the_same_domain_errors(self, model, freqs, dists):
+        try:
+            expected = predict(model, freqs[:, None], dists[None, :])
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                model.mean_path_loss_db(freqs[:, None], dists[None, :])
+            assert str(raised.value) == str(exc)
+        except NumericalError:
+            pass
+        else:
+            out = mean_path_loss_db(model, freqs[:, None], dists[None, :])
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", PRESET_MODELS[:6], ids=lambda m: m.family)
+    def test_missing_frequency_names_the_family(self, model):
+        message = f"^frequency is required by the {model.family} family$"
+        with pytest.raises(DomainError, match=message):
+            predict(model, None, 10.0)
+        with pytest.raises(DomainError, match=message):
+            model.mean_path_loss_db(None, 10.0)
+
+    def test_the_frequency_rule_comes_first_for_every_family(self):
+        for model in PRESET_MODELS:
+            with pytest.raises(DomainError, match="^frequency must be finite and positive$"):
+                predict(model, -5.0, 0.5)
 
 
 class TestParameterValidation:
