@@ -23,7 +23,8 @@ class NumericalError(ArithmeticError):
 
 
 class SingularDesignError(NumericalError):
-    """Least-squares normal system is singular.
+    """Least-squares design is singular: one column is (numerically) a
+    linear combination of the others.
 
     ``regressor`` names the offending column when it can be identified
     (for example "frequency" when every sample shares one frequency).

@@ -1,10 +1,11 @@
 """Closed-form minimum-SSE estimators for the path loss model families.
 
 Every fit minimizes the sum of squared dB residuals and reports sigma as
-the population RMS of the training residuals, sqrt(SSE / N). The linear
-families are solved through their normal equations by a small Gaussian
-elimination with partial pivoting; a collapsed pivot is reported as a
-SingularDesignError naming the regressor that went degenerate.
+the population RMS of the training residuals, sqrt(SSE / N). Every
+family is one least-squares solve by Gram-Schmidt orthogonalization of its
+design columns; a column whose part orthogonal to the earlier columns keeps
+at most RANK_TOLERANCE of its own squared norm is reported as a
+SingularDesignError naming that regressor.
 
 fit_scenarios fits every family per scenario and frequency class in one
 pass over the dataset. It and the public estimators share one private
@@ -43,42 +44,47 @@ from .taxonomy import (
     ordered_pairs,
 )
 
-# pivot threshold, scaled by the largest absolute entry of the normal matrix
+# a column whose part orthogonal to the earlier columns keeps at most this
+# share of its own squared norm is degenerate
 RANK_TOLERANCE = 1e-10
 
 # below this exponent magnitude the CIF b = v / u split is undefined
 MIN_ABS_PLE = 1e-9
 
 
-def _solve_normal(ata: np.ndarray, aty: np.ndarray, names: tuple[str, ...]) -> list[float]:
-    """Solve a small normal system by Gaussian elimination, partial pivoting.
+def _least_squares(columns, y: np.ndarray, names: tuple[str, ...]) -> tuple[list, np.ndarray]:
+    """Minimum-SSE coefficients of y on a few columns, and the residual.
 
-    Raises SingularDesignError naming the regressor whose pivot collapses,
-    which for these systems is the column that is (numerically) a linear
-    combination of the ones before it. It runs on Python floats with numpy's
-    roundings: np.argmax's pivot (the first NaN, else the first largest).
+    Modified Gram-Schmidt (Bjorck, BIT 7, 1967): its error grows with the
+    design's condition number, not with its square as the normal equations'
+    does. A column that RANK_TOLERANCE calls degenerate raises
+    SingularDesignError naming it.
     """
-    a, b = ata.tolist(), aty.tolist()
-    k = len(b)
-    tol = RANK_TOLERANCE * max(float(np.abs(ata).max()), 1.0)
-    for j in range(k):
-        p = max(range(j, k), key=lambda r: (a[r][j] != a[r][j], abs(a[r][j])))
-        if abs(a[p][j]) <= tol:
-            raise SingularDesignError(
-                f"normal system singular: {names[j]} column degenerate",
-                regressor=names[j],
-            )
-        a[j], a[p], b[j], b[p] = a[p], a[j], b[p], b[j]
-        for r in range(j + 1, k):
-            m = a[r][j] / a[j][j]
-            a[r][j:] = [x - m * y for x, y in zip(a[r][j:], a[j][j:])]
-            b[r] -= m * b[j]
-    x = [0.0] * k
-    for j in range(k - 1, -1, -1):
-        row = a[j][j + 1:]  # numpy's dot: a sum from 0.0, in BLAS's order past one term
-        dot = np.dot(row, x[j + 1:]) if len(row) > 1 else 0.0 + (row[0] * x[-1] if row else 0.0)
-        x[j] = (b[j] - dot) / a[j][j]
-    return x
+    # basis: (orthogonal column, its squared norm, its scale); r[j]: column j's
+    # coefficients on the earlier basis columns; x: y's, then the solution
+    basis, r, x = [], [], []
+    for column, name in zip(columns, names):
+        v, scale, own = column, 1.0, float(column @ column)
+        if own == math.inf:  # a power-of-two scale is exact and keeps the sums finite
+            scale = math.ldexp(1.0, -math.frexp(float(np.abs(column).max()))[1])
+            v = column * scale
+            own = float(v @ v)
+        r.append([])
+        for u, uu, _ in basis:
+            c = float(u @ v) / uu
+            v = v - c * u
+            r[-1].append(c)
+        vv = float(v @ v) if basis else own
+        if vv <= RANK_TOLERANCE * own:
+            raise SingularDesignError(f"singular design: {name} column degenerate",
+                                      regressor=name)
+        basis.append((v, vv, scale))
+    for u, uu, _ in basis:
+        x.append(float(y @ u) / uu)
+        y = y - x[-1] * u
+    for j in reversed(range(len(x))):
+        x[j] -= sum(r[i][j] * x[i] for i in range(j + 1, len(x)))
+    return [xj * scale for xj, (_, _, scale) in zip(x, basis)], y
 
 
 def _rms(residuals: np.ndarray) -> float:
@@ -126,13 +132,12 @@ class _Terms(NamedTuple):
 
 
 def _ci(t: _Terms) -> CiParams:
-    denom = float(t.dec @ t.dec)
-    if denom <= RANK_TOLERANCE * max(1.0, float((t.dec**2).max(initial=0.0))):
+    if not t.dec.any():
         raise NumericalError(
             "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
         )
-    n = float(t.excess @ t.dec) / denom
-    sigma = _rms(t.excess - n * t.dec)
+    (n,), resid = _least_squares((t.dec,), t.excess, ("distance",))
+    sigma = _rms(resid)
     _require_finite("fit_ci", n=n, sigma_db=sigma)
     return CiParams(ple_n=n, sigma_db=sigma)
 
@@ -147,13 +152,12 @@ def _fi(t: _Terms) -> FiParams:
             "fit_fi: distance column degenerate, all samples at one distance",
             regressor="distance",
         )
-    design = np.column_stack((np.ones_like(t.dec), t.dec))
-    alpha, beta = _solve_normal(
-        design.T @ design, design.T @ t.pl, ("intercept", "distance")
+    (alpha, beta), resid = _least_squares(
+        (np.ones_like(t.dec), t.dec), t.pl, ("intercept", "distance")
     )
-    sigma = _rms(t.pl - (alpha + beta * t.dec))
+    sigma = _rms(resid)
     _require_finite("fit_fi", alpha_db=alpha, beta=beta, sigma_db=sigma)
-    return FiParams(alpha_db=float(alpha), beta_slope=float(beta), sigma_db=sigma)
+    return FiParams(alpha_db=alpha, beta_slope=beta, sigma_db=sigma)
 
 
 def _abg(t: _Terms) -> AbgParams:
@@ -167,18 +171,12 @@ def _abg(t: _Terms) -> AbgParams:
             "fit_abg: distance column degenerate, all samples at one distance",
             regressor="distance",
         )
-    design = np.column_stack((t.dec, np.ones_like(t.dec), t.fdec))
-    alpha, beta, gamma = _solve_normal(
-        design.T @ design, design.T @ t.pl, ("distance", "intercept", "frequency")
+    (beta, alpha, gamma), resid = _least_squares(
+        (np.ones_like(t.dec), t.dec, t.fdec), t.pl, ("intercept", "distance", "frequency")
     )
-    sigma = _rms(t.pl - design @ np.array([alpha, beta, gamma]))
+    sigma = _rms(resid)
     _require_finite("fit_abg", alpha=alpha, beta_db=beta, gamma=gamma, sigma_db=sigma)
-    return AbgParams(
-        alpha_dist=float(alpha),
-        beta_db=float(beta),
-        gamma_freq=float(gamma),
-        sigma_db=sigma,
-    )
+    return AbgParams(alpha_dist=alpha, beta_db=beta, gamma_freq=gamma, sigma_db=sigma)
 
 
 def _f0(f: np.ndarray) -> float:
@@ -208,17 +206,16 @@ def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
         raise NumericalError(
             "fit_cif: frequency-weighted distance column overflows float64"
         )
-    design = np.column_stack((t.dec, weighted))
-    u, v = _solve_normal(
-        design.T @ design, design.T @ t.excess, ("distance", "frequency-weighted distance")
+    (u, v), resid = _least_squares(
+        (t.dec, weighted), t.excess, ("distance", "frequency-weighted distance")
     )
     if abs(u) < MIN_ABS_PLE:
         raise NumericalError(
             "fit_cif: frequency weighting b undefined, fitted exponent is zero"
         )
-    sigma = _rms(t.excess - design @ np.array([u, v]))
+    sigma = _rms(resid)
     _require_finite("fit_cif", n=u, b=v / u, sigma_db=sigma)
-    return CifParams(n=float(u), b=float(v / u), f0_ghz=f0, sigma_db=sigma)
+    return CifParams(n=u, b=v / u, f0_ghz=f0, sigma_db=sigma)
 
 
 def _xpd(base: CoPolarizedParams, t: _Terms) -> XpdExtension:

@@ -110,10 +110,10 @@ DIGESTS = {
     "compare-pair": "5ce8bbd21f53a836d095bd3d30c28cb3fe5fa1a0c4d3c455d150465bc05faf72",
     "compare-single": "24cc4b76bdcd36f792cff7d40958df642aedec40b0e6eb156559e6c311a88716",
     "compare-vh": "c23800c3eccc840494f9ccd97989288109f30c040fdea7c2d4792b29dede502b",
-    "fit-campaign": "55800f900c20e934a5866893be56dd16997a23dcafb6dbe705364f5d57092fa7",
-    "fit-campaign-json": "a1c864491900442d5b914dfa5d5e75788e9ae0ab274f859fe55bbc4b562eaac6",
-    "fit-selected": "572ba9743424d45431013501668046cae20fc2326b6f130ab38df8984fab2853",
-    "fit-single": "cb218d25445f1578f8a7806c231273dcec0fa81eb6a304ac766fcc596a43ebcc",
+    "fit-campaign": "ba252ba440e89fa38e56a2c2afbe4c60d3a4b74079e72d45675b8a1edd450f7c",
+    "fit-campaign-json": "da2e7b8f82f8f7afa039947c2c27b5d2b4b03f70d85c78888239157b26ad42d0",
+    "fit-selected": "55255947644e75e75e88e0b803ee7c3469a4192452ff878608b4e86643dbab86",
+    "fit-single": "f3590f5ab2d3f4d31094701bb04d6bbf9013815520aaf60d8c3fef417f0635f8",
     "fit-single-explicit": "883f6be4cf30abb53ff05aa4d98d4a60137ee2a3672cd7785c1cad5651bdd658",
     "predict-abgx": "f171eca04829491ec2c53b60beef8c74e21fe094640c8031cd80055ae771ace0",
     "predict-ci": "c60b2e3d412af6533bff6969eb511779be8e206fcc13c13af06267f4495f41c6",
@@ -130,7 +130,7 @@ DIGESTS = {
     "report-preset-table5": "c786bcf24550b5d40bcdca0c533bd2dec98659b3820d82e0ea328f8ed96e46e5",
     "report-preset-table6": "038b43de4bd28b219b26dfbdb87603deceadf286ee4e0bed1bc4db5825ebd2e7",
     "report-single": "48f15c953ea207a4822a9edfe33907c461dd04232754e6fb77b8f913ee612cc4",
-    "synth-params": "99ad9d4dca57983d6105b6d00c2b5767d08ac927668ab308595b51cb553727b8",
+    "synth-params": "cc67b8637cf79f0110d35b9873c6f340b2715d2f7f441b6085654ae1358e16da",
     "synth-preset": "bcd32008d14233d091ed46a8d5520a3c14bc0bd82b1a660d5b9db1ec73716c29",
 }
 
