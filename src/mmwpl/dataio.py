@@ -393,15 +393,6 @@ _PARAM_FIELDS = {
 }
 
 
-def _params_fields(params) -> dict:
-    cls, names = _PARAM_FIELDS.get(getattr(params, "family", None), (None, ()))
-    if cls is None or not isinstance(params, cls):
-        raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
-    fields = zip(names, vars(params).values())
-    return {"model": params.family,
-            **{name: _params_fields(v) if name == "base" else v for name, v in fields}}
-
-
 def _params_from_fields(obj: dict):
     try:
         model = obj["model"]
@@ -420,21 +411,6 @@ def _params_from_fields(obj: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"read_params_json: bad parameter object: {exc}") from None
     raise DataError(f"read_params_json: unknown model {obj.get('model')!r}")
-
-
-def _row_to_json(row: FitRow) -> dict:
-    return {
-        "model": row.family,
-        "freq_ghz": row.freq_ghz,
-        "scenario": {
-            "environment": row.scenario.environment.value,
-            "layout": row.scenario.layout.value,
-            "polarization": row.scenario.polarization_class.value,
-        },
-        "n_samples": row.n_samples,
-        "source": row.source,
-        "params": _params_fields(row.params),
-    }
 
 
 def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
@@ -470,39 +446,64 @@ def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
 
 def _json_value(value) -> str:
     """A scalar as json.dumps writes it: float.__repr__, NaN and Infinity as
-    json spells them, strings ASCII-escaped; json.dumps itself writes the
-    rest (null, true, false, ints) and raises its TypeError for the others."""
+    json spells them, strings ASCII-escaped, a plain int as int.__repr__;
+    json.dumps itself writes the rest (null, true, false, int subclasses)
+    and raises its TypeError for the others."""
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
     return "null" if value is None else json.dumps(value)
 
 
-def _json_object(fields: dict, indent: str) -> str:
-    """A non-empty dict of scalars and dicts as json.dumps(indent=2) lays it out."""
+def _params_json(params, indent: str) -> str:
+    """A parameter record as json.dumps(indent=2) lays it out at indent: its
+    model, then its _PARAM_FIELDS in order, an XPD base nested one deeper."""
+    cls, names = _PARAM_FIELDS.get(getattr(params, "family", None), (None, ()))
+    if cls is None or not isinstance(params, cls):
+        raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
     inner = indent + "  "
-    return "{\n" + ",\n".join(
-        f'{inner}"{name}": ' + (_json_object(value, inner) if isinstance(value, dict)
-                                else _json_value(value))
-        for name, value in fields.items()
+    return f'{{\n{inner}"model": {_json_value(params.family)}' + "".join(
+        f',\n{inner}"{name}": '
+        + (_params_json(value, inner) if name == "base" else _json_value(value))
+        for name, value in zip(names, vars(params).values())
     ) + f"\n{indent}}}"
+
+
+def _row_json(row: FitRow) -> str:
+    """One report row as json.dumps(indent=2) lays it out in the rows list."""
+    scenario = row.scenario
+    return (f'    {{\n      "model": {_json_value(row.family)},\n'
+            f'      "freq_ghz": {_json_value(row.freq_ghz)},\n'
+            f'      "scenario": {{\n'
+            f'        "environment": {_json_value(scenario.environment.value)},\n'
+            f'        "layout": {_json_value(scenario.layout.value)},\n'
+            f'        "polarization": {_json_value(scenario.polarization_class.value)}\n'
+            f'      }},\n'
+            f'      "n_samples": {_json_value(row.n_samples)},\n'
+            f'      "source": {_json_value(row.source)},\n'
+            f'      "params": {_params_json(row.params, "      ")}\n'
+            f'    }}')
 
 
 def dumps_params(report: FitReport) -> str:
     """Serialize a report with stable key order and repr-exact floats."""
-    rows = [_row_to_json(r) for r in report.rows]
-    items = ",\n".join("    " + _json_object(r, "    ") for r in rows)
-    listed = f"[\n{items}\n  ]" if rows else "[]"
+    items = ",\n".join(map(_row_json, report.rows))
+    listed = f"[\n{items}\n  ]" if report.rows else "[]"
     return f'{{\n  "schema_version": {PARAMS_SCHEMA_VERSION},\n  "rows": {listed}\n}}\n'
 
 
 def write_params_json(report: FitReport, dest: Source) -> None:
+    """Write dumps_params' text; dest is opened only once it has been built,
+    so a report that cannot be serialized leaves dest as it was."""
+    text = dumps_params(report)
     stream, owned = _open_text(dest, "w")
     try:
-        stream.write(dumps_params(report))
+        stream.write(text)
     finally:
         if owned:
             stream.close()

@@ -12,6 +12,13 @@ mirror the published comparison layouts:
 Numbers are rendered at the published precision: exponents, intercepts,
 sigma, and XPD to one decimal, the frequency weighting b to two, f0 to
 whole GHz, ties away from zero.
+
+A report keeps one index of its rows, built on first use: plain tuples
+(family, environment, layout, polarization class, freq_ghz) to the rows
+with that key, in row order. FitReport.find looks a full key up in it, and
+every table cell reads the first row of its key from it. Rows whose
+frequency is NaN are not indexed, so they match no lookup, as NaN equals
+no frequency; 28 and 28.0 are the same key.
 """
 
 from __future__ import annotations
@@ -24,14 +31,7 @@ from typing import Optional, Union
 from .errors import DataError, NumericalError, UsageError
 from .models import AbgParams, CifParams, CiParams, XpdExtension
 from .numformat import format_fixed
-from .taxonomy import (
-    LABELS,
-    Environment,
-    Layout,
-    PolarizationClass,
-    ScenarioKey,
-    ordered_pairs,
-)
+from .taxonomy import LABELS, PolarizationClass, ScenarioKey, ordered_pairs
 
 TABLE_STYLES = ("table3", "table4", "table5", "table6")
 
@@ -87,11 +87,14 @@ class FitReport:
 
         family and scenario None match anything. freq_ghz defaults to
         ANY_FREQ, which matches every row; None selects multi-frequency
-        rows; any other value matches rows whose freq_ghz equals it.
+        rows; any other value matches rows whose freq_ghz equals it. A
+        query naming all three, with a ScenarioKey, is one lookup in the
+        report's row index; any other query scans the rows.
         """
-        if (family is not None and scenario is not None and freq_ghz is not ANY_FREQ
-                and freq_ghz == freq_ghz):  # NaN equals no row, as in the scan
-            return self._index.get((family, scenario, freq_ghz), ())
+        if family is not None and type(scenario) is ScenarioKey and freq_ghz is not ANY_FREQ:
+            key = (family, scenario.environment, scenario.layout, scenario.polarization_class,
+                   freq_ghz)
+            return self._index.get(key, ())
         return tuple(
             row for row in self.rows
             if (family is None or row.family == family)
@@ -101,10 +104,15 @@ class FitReport:
 
     @functools.cached_property
     def _index(self) -> dict:
-        """Rows by (family, scenario, freq_ghz), in row order, built on first use."""
+        """Rows by plain (family, environment, layout, polarization class,
+        freq_ghz) key, in row order; rows at a NaN frequency are left out."""
         index: dict = {}
         for row in self.rows:
-            index.setdefault((row.family, row.scenario, row.freq_ghz), []).append(row)
+            freq, scenario = row.freq_ghz, row.scenario
+            if freq == freq:
+                key = (row.family, scenario.environment, scenario.layout,
+                       scenario.polarization_class, freq)
+                index.setdefault(key, []).append(row)
         return {key: tuple(rows) for key, rows in index.items()}
 
     def single(self, family, scenario=None, freq_ghz=ANY_FREQ) -> FitRow:
@@ -157,74 +165,71 @@ def _freq_label(freq_ghz: float) -> str:
     return f"{freq_ghz:g} GHz"
 
 
-def _report_freqs(report: FitReport) -> list[float]:
-    return sorted({r.freq_ghz for r in report.rows if r.freq_ghz is not None})
-
-
-def _grid_pairs(report: FitReport) -> list[tuple[Environment, Layout]]:
-    """Environment/layout pairs to render, measured pairs first."""
-    return ordered_pairs((row.scenario.environment, row.scenario.layout) for row in report.rows)
-
-
 def _render(headers: list[str], body: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in body:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in body:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
+    lines = [" | ".join(map(str.ljust, row, widths)).rstrip() for row in (headers, *body)]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
-def _table3_body(report: FitReport) -> list[list[str]]:
-    body, pairs = [], _grid_pairs(report)
-    for freq in _report_freqs(report):
+_NO_ROW = (None,)
+
+
+class _Grid:
+    """What every table body reads, computed once per render: the report's
+    row index, the environment/layout pairs to render (measured pairs
+    first) and the sorted distinct frequencies a row can match."""
+
+    def __init__(self, report: FitReport):
+        self._index = report._index
+        self.pairs = ordered_pairs((r.scenario.environment, r.scenario.layout) for r in report.rows)
+        self.freqs = sorted({r.freq_ghz for r in report.rows
+                             if r.freq_ghz is not None and r.freq_ghz == r.freq_ghz})
+
+    def first(self, *key) -> Optional[FitRow]:
+        """The first row of a plain key, or None."""
+        return self._index.get(key, _NO_ROW)[0]
+
+
+def _table3_body(grid: _Grid) -> list[list[str]]:
+    body, first = [], grid.first
+    for freq in grid.freqs:
         for pol in PolarizationClass:
-            for env, layout in pairs:
-                key = ScenarioKey(env, layout, pol)
-                ci = report.find("CI", key, freq)
-                fi = report.find("FI", key, freq)
-                if not ci and not fi:
+            for env, layout in grid.pairs:
+                ci = first("CI", env, layout, pol, freq)
+                fi = first("FI", env, layout, pol, freq)
+                if ci is None and fi is None:
                     continue
-                cells = [_freq_label(freq), LABELS[pol], LABELS[env], LABELS[layout]]
-                cells.append(_fmt(ci[0].params.ple_n if ci else None, 1))
-                cells.append(_fmt(ci[0].sigma_db if ci else None, 1))
-                cells.append(_fmt(fi[0].params.alpha_db if fi else None, 1))
-                cells.append(_fmt(fi[0].params.beta_slope if fi else None, 1))
-                cells.append(_fmt(fi[0].sigma_db if fi else None, 1))
                 gap = None
                 if ci and fi:
                     try:
-                        gap = delta_sigma(ci[0], fi[0])
+                        gap = delta_sigma(ci, fi)
                     except DataError:
-                        gap = None
-                cells.append(_fmt(gap, 1))
-                body.append(cells)
+                        pass
+                body.append([
+                    _freq_label(freq), LABELS[pol], LABELS[env], LABELS[layout],
+                    _fmt(ci.params.ple_n if ci else None, 1),
+                    _fmt(ci.sigma_db if ci else None, 1),
+                    _fmt(fi.params.alpha_db if fi else None, 1),
+                    _fmt(fi.params.beta_slope if fi else None, 1),
+                    _fmt(fi.sigma_db if fi else None, 1),
+                    _fmt(gap, 1),
+                ])
     return body
 
 
-def _table4_body(report: FitReport) -> list[list[str]]:
-    body, pairs = [], _grid_pairs(report)
-    for freq in _report_freqs(report):
-        for env, layout in pairs:
-            key = ScenarioKey(env, layout, PolarizationClass.VH)
-            rows = report.find("CIX", key, freq)
-            if not rows:
+def _table4_body(grid: _Grid) -> list[list[str]]:
+    body, vh = [], PolarizationClass.VH
+    for freq in grid.freqs:
+        for env, layout in grid.pairs:
+            row = grid.first("CIX", env, layout, vh, freq)
+            if row is None:
                 continue
-            ext = rows[0].params
-            body.append(
-                [
-                    _freq_label(freq),
-                    LABELS[PolarizationClass.VH],
-                    LABELS[env],
-                    LABELS[layout],
-                    _fmt(ext.base.ple_n, 1),
-                    _fmt(ext.xpd_db, 1),
-                    _fmt(rows[0].sigma_db, 1),
-                ]
-            )
+            ext = row.params
+            body.append([
+                _freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout],
+                _fmt(ext.base.ple_n, 1), _fmt(ext.xpd_db, 1), _fmt(row.sigma_db, 1),
+            ])
     return body
 
 
@@ -241,7 +246,7 @@ def _family_param_cells(params) -> list[str]:
     return ["-", "-", "-"]
 
 
-def _table5_body(report: FitReport) -> list[list[str]]:
+def _table5_body(grid: _Grid) -> list[list[str]]:
     order = (
         ("CI", PolarizationClass.VV),
         ("CIX", PolarizationClass.VH),
@@ -251,45 +256,31 @@ def _table5_body(report: FitReport) -> list[list[str]]:
         ("ABGX", PolarizationClass.VH),
     )
     body = []
-    for env, layout in _grid_pairs(report):
+    for env, layout in grid.pairs:
         for family, pol in order:
-            key = ScenarioKey(env, layout, pol)
-            rows = report.find(family, key, None)
-            if not rows:
+            row = grid.first(family, env, layout, pol, None)
+            if row is None:
                 continue
-            params = rows[0].params
+            params = row.params
             xpd = params.xpd_db if isinstance(params, XpdExtension) else None
-            body.append(
-                [
-                    LABELS[env],
-                    LABELS[layout],
-                    family,
-                    LABELS[pol],
-                    *_family_param_cells(params),
-                    _fmt(xpd, 1),
-                    _fmt(rows[0].sigma_db, 1),
-                ]
-            )
+            body.append([
+                LABELS[env], LABELS[layout], family, LABELS[pol],
+                *_family_param_cells(params), _fmt(xpd, 1), _fmt(row.sigma_db, 1),
+            ])
     return body
 
 
-def _table6_body(report: FitReport) -> list[list[str]]:
-    body, pairs = [], _grid_pairs(report)
+def _table6_body(grid: _Grid) -> list[list[str]]:
+    body, combined = [], PolarizationClass.COMBINED
     for family in ("CI", "CIF", "ABG"):
-        for env, layout in pairs:
-            key = ScenarioKey(env, layout, PolarizationClass.COMBINED)
-            rows = report.find(family, key, None)
-            if not rows:
+        for env, layout in grid.pairs:
+            row = grid.first(family, env, layout, combined, None)
+            if row is None:
                 continue
-            body.append(
-                [
-                    family,
-                    LABELS[env],
-                    LABELS[layout],
-                    *_family_param_cells(rows[0].params),
-                    _fmt(rows[0].sigma_db, 1),
-                ]
-            )
+            body.append([
+                family, LABELS[env], LABELS[layout],
+                *_family_param_cells(row.params), _fmt(row.sigma_db, 1),
+            ])
     return body
 
 
@@ -324,11 +315,12 @@ def render_table(report: FitReport, style: str) -> str:
     """
     if style not in TABLE_STYLES:
         raise UsageError(f"unknown table style {style!r}; expected one of {TABLE_STYLES}")
-    return _render(_STYLE_HEADERS[style], _STYLE_BODIES[style](report))
+    return _render(_STYLE_HEADERS[style], _STYLE_BODIES[style](_Grid(report)))
 
 
 def render_tables(report: FitReport) -> str:
     """Every style with at least one body row for this report, in
     TABLE_STYLES order, separated by blank lines; "" when there is none."""
-    bodies = ((style, _STYLE_BODIES[style](report)) for style in TABLE_STYLES)
+    grid = _Grid(report)
+    bodies = ((style, _STYLE_BODIES[style](grid)) for style in TABLE_STYLES)
     return "\n".join(_render(_STYLE_HEADERS[style], body) for style, body in bodies if body)

@@ -17,7 +17,6 @@ from mmwpl.dataio import (
     SkippedRow,
     _enum_of,
     _finite,
-    _row_to_json,
     dumps_params,
     read_csv,
     read_params_json,
@@ -584,6 +583,18 @@ class TestParamsJson:
         write_params_json(demo_report(), str(path))
         assert read_params_json(str(path)) == demo_report()
 
+    @pytest.mark.parametrize("dest", ["path", "stream"])
+    def test_unserializable_report_leaves_dest_as_it_was(self, tmp_path, dest):
+        bad = FitReport(demo_report().rows + (replace(demo_report().rows[0], params=object()),))
+        path = tmp_path / "params.json"
+        path.write_text("previous contents")
+        stream = io.StringIO("previous contents")
+        with pytest.raises(DataError) as info:
+            write_params_json(bad, str(path) if dest == "path" else stream)
+        assert str(info.value) == "write_params_json: unknown parameter type object"
+        assert path.read_text() == "previous contents"
+        assert stream.getvalue() == "previous contents"
+
     @pytest.mark.parametrize("rows, kind", [("5", "int"), ("null", "NoneType"),
                                             ('{"a": 1}', "dict"), ('""', "str")])
     def test_rows_must_be_a_list(self, rows, kind):
@@ -617,10 +628,44 @@ class TestParamsJson:
 
 # ------------------------------------- the params JSON codec, as properties
 
+def reference_params_to_json(params):
+    """A parameter record as a dict, its JSON fields named family by family."""
+    if isinstance(params, CiParams):
+        return {"model": "CI", "n": params.ple_n, "sigma_db": params.sigma_db,
+                "d0_m": params.d0_m}
+    if isinstance(params, FiParams):
+        return {"model": "FI", "alpha_db": params.alpha_db, "beta": params.beta_slope,
+                "sigma_db": params.sigma_db}
+    if isinstance(params, AbgParams):
+        return {"model": "ABG", "alpha": params.alpha_dist, "beta_db": params.beta_db,
+                "gamma": params.gamma_freq, "sigma_db": params.sigma_db, "d0_m": params.d0_m}
+    if isinstance(params, CifParams):
+        return {"model": "CIF", "n": params.n, "b": params.b, "f0_ghz": params.f0_ghz,
+                "sigma_db": params.sigma_db, "d0_m": params.d0_m}
+    assert isinstance(params, XpdExtension)
+    return {"model": params.family, "base": reference_params_to_json(params.base),
+            "xpd_db": params.xpd_db, "sigma_db": params.sigma_db}
+
+
+def reference_row_to_json(row):
+    return {
+        "model": row.family,
+        "freq_ghz": row.freq_ghz,
+        "scenario": {
+            "environment": row.scenario.environment.value,
+            "layout": row.scenario.layout.value,
+            "polarization": row.scenario.polarization_class.value,
+        },
+        "n_samples": row.n_samples,
+        "source": row.source,
+        "params": reference_params_to_json(row.params),
+    }
+
+
 def reference_dumps_params(report):
-    """dumps_params as the json module wrote it, the reference for the
-    direct writer."""
-    doc = {"schema_version": 1, "rows": [_row_to_json(r) for r in report.rows]}
+    """dumps_params as the json module writes the document, the reference
+    for the direct writer."""
+    doc = {"schema_version": 1, "rows": [reference_row_to_json(r) for r in report.rows]}
     return json.dumps(doc, indent=2) + "\n"
 
 

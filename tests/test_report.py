@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwpl.errors import DataError, NumericalError, UsageError
-from mmwpl.models import CiParams, FiParams, XpdExtension
+from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from mmwpl.numformat import format_fixed, round_half_away
 from mmwpl.presets import preset_report
 from mmwpl.report import (
+    _STYLE_HEADERS,
     ANY_FREQ,
     TABLE_STYLES,
     FitReport,
@@ -20,7 +21,14 @@ from mmwpl.report import (
     render_table,
     render_tables,
 )
-from mmwpl.taxonomy import Environment, Layout, PolarizationClass, ScenarioKey
+from mmwpl.taxonomy import (
+    LABELS,
+    Environment,
+    Layout,
+    PolarizationClass,
+    ScenarioKey,
+    ordered_pairs,
+)
 
 KEY = ScenarioKey(Environment.NLOS, Layout.CORRIDOR, PolarizationClass.VV)
 
@@ -204,8 +212,11 @@ ROWS = st.builds(
 )
 
 
+# a bare (environment, layout, polarization class) tuple and a label are not
+# ScenarioKeys: they equal no row's scenario
+NOT_KEYS = [tuple(vars(KEY).values()), KEY.label()]
 QUERIES = st.tuples(st.sampled_from([None, *FAMILY_NAMES, "ABGX"]),
-                    st.sampled_from([None, *SCENARIOS]),
+                    st.sampled_from([None, *SCENARIOS, *NOT_KEYS]),
                     st.sampled_from([ANY_FREQ, *FREQS, 39.0, "28"]))
 
 
@@ -231,6 +242,13 @@ class TestFind:
         with pytest.raises(UsageError, match="no CI row"):
             report.single("CI", KEY, "28")
 
+    @pytest.mark.parametrize("scenario", NOT_KEYS)
+    def test_scenario_that_is_not_a_key_matches_no_row(self, scenario):
+        report = FitReport((ci_row(1.0), ci_row(1.0, freq_ghz=None)))
+        for freq in (28.0, None, ANY_FREQ):
+            assert report.find("CI", scenario, freq) == ()
+            assert report.find(None, scenario, freq) == ()
+
 
 class TestRenderTables:
     @pytest.mark.parametrize("table", ["table3", "table4", "table5", "table6"])
@@ -241,3 +259,183 @@ class TestRenderTables:
 
     def test_empty_report_renders_nothing(self):
         assert render_tables(FitReport()) == ""
+
+
+def reference_render(headers, body):
+    widths = [len(h) for h in headers]
+    for row in body:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    lines.append("-+-".join("-" * w for w in widths))
+    for row in body:
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid(report):
+    """The pairs and frequencies to render. A NaN frequency equals no find
+    query, so its rows fill no cell; it is left out of the sorted list,
+    where it would leave the other frequencies out of order."""
+    pairs = ordered_pairs((r.scenario.environment, r.scenario.layout) for r in report.rows)
+    freqs = sorted({r.freq_ghz for r in report.rows
+                    if r.freq_ghz is not None and r.freq_ghz == r.freq_ghz})
+    return pairs, freqs
+
+
+def first(report, family, env, layout, pol, freq):
+    """The cell's row as the renderer looked it up: FitReport.find(...)[0]."""
+    rows = report.find(family, ScenarioKey(env, layout, pol), freq)
+    return rows[0] if rows else None
+
+
+def fmt(value, decimals):
+    return "-" if value is None else format_fixed(value, decimals)
+
+
+def reference_param_cells(params):
+    base = params.base if isinstance(params, XpdExtension) else params
+    if isinstance(base, CiParams):
+        return [fmt(base.ple_n, 1), "-", "-"]
+    if isinstance(base, CifParams):
+        return [fmt(base.n, 1), fmt(base.b, 2), fmt(base.f0_ghz, 0)]
+    return [fmt(base.alpha_dist, 1), fmt(base.beta_db, 1), fmt(base.gamma_freq, 1)]
+
+
+def reference_body(report, style):
+    body, (pairs, freqs) = [], reference_grid(report)
+    VV, VH, COMBINED = PolarizationClass.VV, PolarizationClass.VH, PolarizationClass.COMBINED
+    if style == "table3":
+        for freq in freqs:
+            for pol in PolarizationClass:
+                for env, layout in pairs:
+                    ci = first(report, "CI", env, layout, pol, freq)
+                    fi = first(report, "FI", env, layout, pol, freq)
+                    if ci is None and fi is None:
+                        continue
+                    gap = None
+                    if ci and fi:
+                        try:
+                            gap = delta_sigma(ci, fi)
+                        except DataError:
+                            pass
+                    body.append([f"{freq:g} GHz", LABELS[pol], LABELS[env], LABELS[layout],
+                                 fmt(ci.params.ple_n if ci else None, 1),
+                                 fmt(ci.sigma_db if ci else None, 1),
+                                 fmt(fi.params.alpha_db if fi else None, 1),
+                                 fmt(fi.params.beta_slope if fi else None, 1),
+                                 fmt(fi.sigma_db if fi else None, 1), fmt(gap, 1)])
+    elif style == "table4":
+        for freq in freqs:
+            for env, layout in pairs:
+                row = first(report, "CIX", env, layout, VH, freq)
+                if row:
+                    body.append([f"{freq:g} GHz", LABELS[VH], LABELS[env], LABELS[layout],
+                                 fmt(row.params.base.ple_n, 1), fmt(row.params.xpd_db, 1),
+                                 fmt(row.sigma_db, 1)])
+    elif style == "table5":
+        for env, layout in pairs:
+            for family, pol in [("CI", VV), ("CIX", VH), ("CIF", VV), ("CIFX", VH),
+                                ("ABG", VV), ("ABGX", VH)]:
+                row = first(report, family, env, layout, pol, None)
+                if row:
+                    xpd = row.params.xpd_db if isinstance(row.params, XpdExtension) else None
+                    body.append([LABELS[env], LABELS[layout], family, LABELS[pol],
+                                 *reference_param_cells(row.params), fmt(xpd, 1),
+                                 fmt(row.sigma_db, 1)])
+    else:
+        for family in ("CI", "CIF", "ABG"):
+            for env, layout in pairs:
+                row = first(report, family, env, layout, COMBINED, None)
+                if row:
+                    body.append([family, LABELS[env], LABELS[layout],
+                                 *reference_param_cells(row.params), fmt(row.sigma_db, 1)])
+    return body
+
+
+def reference_render_table(report, style):
+    """render_table with every cell looked up through FitReport.find."""
+    return reference_render(_STYLE_HEADERS[style], reference_body(report, style))
+
+
+def reference_render_tables(report):
+    tables = [reference_render_table(report, style) for style in TABLE_STYLES]
+    return "\n".join(t for t in tables if t.count("\n") > 2)
+
+
+def outcome(render):
+    try:
+        return render()
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+
+
+def table_row(family, scenario, freq, sigma, n_samples, source):
+    ci = CiParams(2.0 + sigma / 10, sigma)
+    params = {
+        "CI": ci,
+        "FI": FiParams(40.0 + sigma, 2.1, sigma),
+        "CIF": CifParams(3.0, 0.2 + sigma / 100, 50.0, sigma),
+        "ABG": AbgParams(3.5, 20.0 + sigma, 2.0, sigma),
+    }.get(family) or XpdExtension(ci if family == "CIX" else
+                                  CifParams(2.5, 0.3, 40.0, sigma) if family == "CIFX" else
+                                  AbgParams(3.0, 21.0, 2.4, sigma), 20.0 + sigma, sigma + 1)
+    return FitRow(family, scenario, params, freq_ghz=freq, n_samples=n_samples, source=source)
+
+
+ALL_SCENARIOS = [ScenarioKey(env, layout, pol) for env in Environment for layout in Layout
+                 for pol in PolarizationClass]
+# sigma 9.0 on an FI row beside a CI row of the same sample set is a negative
+# gap beyond DELTA_SIGMA_SLACK_DB; 5.04 beside 5.0 is within it
+TABLE_ROWS = st.builds(
+    table_row,
+    st.sampled_from(["CI", "FI", "CIX", "CIF", "CIFX", "ABG", "ABGX"]),
+    st.sampled_from(ALL_SCENARIOS),
+    st.sampled_from([None, None, 28.0, 28, 73.0, float("nan")]),
+    st.sampled_from([4.0, 5.0, 5.04, 5.5, 6.25, 7.0, 8.0, 9.0]),
+    st.sampled_from([10, 11]),
+    st.sampled_from(["a", "b"]),
+)
+
+
+class TestRenderMatchesFindReference:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(TABLE_ROWS, max_size=30), data=st.data())
+    def test_every_style(self, rows, data):
+        # duplicated keys: a copy of a drawn row, with other parameters
+        for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+            dup = data.draw(st.sampled_from(rows))
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        table_row(dup.family, dup.scenario, dup.freq_ghz,
+                                  data.draw(st.sampled_from([4.0, 6.0])), 10, "a"))
+        report = FitReport(tuple(rows))
+        for style in TABLE_STYLES:
+            assert outcome(lambda: render_table(report, style)) == \
+                outcome(lambda: reference_render_table(report, style))
+        assert outcome(lambda: render_tables(report)) == \
+            outcome(lambda: reference_render_tables(report))
+
+    def test_negative_gap_raises_the_delta_sigma_error(self):
+        report = FitReport((ci_row(5.0), fi_row(9.0)))
+        with pytest.raises(NumericalError) as info:
+            render_table(report, "table3")
+        assert outcome(lambda: render_tables(report)) == f"NumericalError: {info.value}"
+        assert str(info.value) == ("delta_sigma: negative gap -4.000 dB; "
+                                   "FI cannot fit worse than CI on the same single-frequency data")
+
+    def test_nan_frequency_rows_leave_the_order_of_the_others(self):
+        # a NaN hashes by identity, so each new NaN (all kept alive, so
+        # each at a new address) takes another place in a set of frequencies
+        nans = [float("nan") for _ in range(64)]
+        for nan in nans:
+            rows = [ci_row(1.0, freq_ghz=f) for f in (73.0, nan, 28.0)]
+            lines = render_table(FitReport(tuple(rows)), "table3").splitlines()[2:]
+            assert [line.split(" | ")[0].strip() for line in lines] == ["28 GHz", "73 GHz"]
+
+    def test_unmeasured_pair_renders_after_the_measured_ones(self):
+        los_cp = ScenarioKey(Environment.LOS, Layout.CLOSED_PLAN, PolarizationClass.VV)
+        report = FitReport((FitRow("CI", los_cp, CiParams(2.0, 1.0)),
+                            FitRow("CI", KEY, CiParams(3.0, 1.0))))
+        lines = render_table(report, "table5").splitlines()[2:]
+        assert [[c.strip() for c in line.split("|")[:2]] for line in lines] == \
+            [["NLOS", "co"], ["LOS", "cp"]]
