@@ -66,14 +66,6 @@ def _load_dataset(path: str, mode: str) -> Dataset:
     return dataset
 
 
-def _write_text(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as stream:
-            stream.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------- fit
 
 def _requested_families(spec: str) -> Optional[tuple[str, ...]]:
@@ -102,16 +94,20 @@ def _cmd_fit(args) -> int:
 
 # ------------------------------------------------------------- predict
 
+def _load_report(args):
+    """The report that --preset or --params names."""
+    if args.preset is not None:
+        return presets.preset_report(args.preset)
+    return dataio.read_params_json(args.params)
+
+
 def _resolve_model(args):
     """The one --model row of --params or --preset that --fit-freq and --scenario
     select; synth's --scenario only tags its samples when the source is --preset."""
     family = args.model.upper()
     if family not in MODEL_FAMILIES:
         raise UsageError(f"unknown model family {args.model!r}; choose from {MODEL_FAMILIES}")
-    if args.preset is not None:
-        report = presets.preset_report(args.preset)
-    else:
-        report = dataio.read_params_json(args.params)
+    report = _load_report(args)
     scenario = None
     if args.scenario and (args.command == "predict" or args.preset is None):
         scenario = ScenarioKey(*parse_scenario(args.scenario, need_pol=True))
@@ -138,7 +134,7 @@ def _cmd_predict(args) -> int:
     lines = ["freq_ghz,distance_m,path_loss_db"]
     for f_cell, losses in zip(f_cells, grid.tolist()):
         lines.extend(f"{f_cell},{d},{loss:.4f}" for d, loss in zip(d_cells, losses))
-    _write_text("\n".join(lines) + "\n", args.output)
+    dataio.write_text("\n".join(lines) + "\n", args.output or sys.stdout)
     return EXIT_OK
 
 
@@ -155,26 +151,19 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     dataset = synthesize(spec)
-    dataio.write_csv(dataset, args.output if args.output else sys.stdout)
+    dataio.write_csv(dataset, args.output or sys.stdout)
     return EXIT_OK
 
 
 # -------------------------------------------------------------- report
 
 def _cmd_report(args) -> int:
-    if args.preset is not None:
-        report = presets.preset_report(args.preset)
-        style = args.style or presets.preset_style(args.preset)
-        text = render_table(report, style)
+    report = _load_report(args)
+    if args.style:
+        text = render_table(report, args.style)
     else:
-        report = dataio.read_params_json(args.params)
-        if args.style:
-            text = render_table(report, args.style)
-        else:
-            text = render_tables(report)
-            if not text:
-                text = render_table(report, "table3")
-    _write_text(text, args.output)
+        text = render_tables(report) or render_table(report, "table3")
+    dataio.write_text(text, args.output or sys.stdout)
     return EXIT_OK
 
 
@@ -218,7 +207,7 @@ def _cmd_compare(args) -> int:
             f"ABG : alpha={format_fixed(abg.alpha_dist, 2)}  beta={format_fixed(abg.beta_db, 2)} dB"
             f"  gamma={format_fixed(abg.gamma_freq, 2)}  sigma={format_fixed(abg.sigma_db, 2)} dB"
         )
-    _write_text("\n".join(lines) + "\n", args.output)
+    dataio.write_text("\n".join(lines) + "\n", args.output or sys.stdout)
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ indent=2) gives for the document.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -80,12 +81,23 @@ class SkippedRow(NamedTuple):
     reason: str
 
 
-def _open_text(source: Source, mode: str):
+@contextlib.contextmanager
+def _text_stream(source: Source, mode: str) -> Iterator[io.TextIOBase]:
+    """A path opened as UTF-8 text with newline="" ("r" or "w") and closed on
+    exit; a caller's open stream is passed through and left open."""
     if isinstance(source, (str, Path)):
         # utf-8-sig reads a file with or without a byte order mark alike
         encoding = "utf-8-sig" if mode == "r" else "utf-8"
-        return open(source, mode, encoding=encoding, newline=""), True
-    return source, False
+        with open(source, mode, encoding=encoding, newline="") as stream:
+            yield stream
+    else:
+        yield source
+
+
+def write_text(text: str, dest: Source) -> None:
+    """Write text to a path (created or truncated) or to an open stream."""
+    with _text_stream(dest, "w") as stream:
+        stream.write(text)
 
 
 def _enum_of(token: str, enum_cls, what: str):
@@ -287,47 +299,44 @@ def read_csv(source: Source, mode: str = "strict") -> tuple[Dataset, list[Skippe
     """
     if mode not in ("strict", "lax"):
         raise DataError(f"read_csv: unknown mode {mode!r}")
-    stream, owned = _open_text(source, "r")
     try:
-        try:
-            # the reader pulls only the header's lines from the stream
-            header = next(csv.reader(stream))
-        except StopIteration:
-            raise DataError("read_csv: missing header row") from None
-        except csv.Error as exc:
-            raise DataError(f"read_csv: header row: {exc}") from None
-        header = [h.strip() for h in header]
-        duplicate = [h for i, h in enumerate(header) if h in CSV_COLUMNS and h in header[:i]]
-        unknown = [h for h in header if h not in CSV_COLUMNS]
-        missing = [c for c in CSV_COLUMNS[:6] if c not in header]
-        if duplicate:
-            raise DataError(f"read_csv: duplicate column(s) {duplicate}")
-        if unknown and mode == "strict":
-            raise DataError(f"read_csv: unknown column(s) {unknown}")
-        if missing:
-            raise DataError(f"read_csv: missing required column(s) {missing}")
-        at = {name: header.index(name) for name in CSV_COLUMNS if name in header}
-        parts = []
-        skipped: list[SkippedRow] = []
-        memos: dict = {}
-        for chunk in _chunks(stream, len(header)):
-            columns, rejected = _parse_chunk(*chunk, at, memos)
-            if rejected and mode == "strict":
-                raise DataError(f"read_csv: row {rejected[0].row}: {rejected[0].reason}")
-            skipped.extend(rejected)
-            parts.append(columns)
-            # drop this block's cells before _chunks reads the next block
-            del chunk
-        name = str(getattr(stream, "name", None) or "<stream>")
-        if not parts:
-            return Dataset((), provenance=name), skipped
-        columns = (np.concatenate(c) for c in zip(*parts))
-        return Dataset.from_columns(*columns, provenance=name), skipped
+        with _text_stream(source, "r") as stream:
+            try:
+                # the reader pulls only the header's lines from the stream
+                header = next(csv.reader(stream))
+            except StopIteration:
+                raise DataError("read_csv: missing header row") from None
+            except csv.Error as exc:
+                raise DataError(f"read_csv: header row: {exc}") from None
+            header = [h.strip() for h in header]
+            duplicate = [h for i, h in enumerate(header) if h in CSV_COLUMNS and h in header[:i]]
+            unknown = [h for h in header if h not in CSV_COLUMNS]
+            missing = [c for c in CSV_COLUMNS[:6] if c not in header]
+            if duplicate:
+                raise DataError(f"read_csv: duplicate column(s) {duplicate}")
+            if unknown and mode == "strict":
+                raise DataError(f"read_csv: unknown column(s) {unknown}")
+            if missing:
+                raise DataError(f"read_csv: missing required column(s) {missing}")
+            at = {name: header.index(name) for name in CSV_COLUMNS if name in header}
+            parts = []
+            skipped: list[SkippedRow] = []
+            memos: dict = {}
+            for chunk in _chunks(stream, len(header)):
+                columns, rejected = _parse_chunk(*chunk, at, memos)
+                if rejected and mode == "strict":
+                    raise DataError(f"read_csv: row {rejected[0].row}: {rejected[0].reason}")
+                skipped.extend(rejected)
+                parts.append(columns)
+                # drop this block's cells before _chunks reads the next block
+                del chunk
+            name = str(getattr(stream, "name", None) or "<stream>")
+            if not parts:
+                return Dataset((), provenance=name), skipped
+            columns = (np.concatenate(c) for c in zip(*parts))
+            return Dataset.from_columns(*columns, provenance=name), skipped
     except UnicodeDecodeError as exc:
         raise _not_utf8("read_csv", exc) from None
-    finally:
-        if owned:
-            stream.close()
 
 
 # rows joined per write: enough to amortize the write call, few enough that
@@ -355,8 +364,7 @@ def write_csv(dataset: Dataset, dest: Source) -> None:
     """Write a dataset in the fixed schema; floats keep full precision."""
     tokens = [[m.value for m in enum_cls] for _, enum_cls in _TOKEN_COLUMNS]
     labels: dict = {}
-    stream, owned = _open_text(dest, "w")
-    try:
+    with _text_stream(dest, "w") as stream:
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for start in range(0, len(dataset), _WRITE_ROWS):
             part = slice(start, start + _WRITE_ROWS)
@@ -367,9 +375,6 @@ def write_csv(dataset: Dataset, dest: Source) -> None:
                 *(_label_cells(c[part].tolist(), labels) for c in (dataset.tx_id, dataset.rx_id)),
             )
             stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def _finite(value, what: str):
@@ -500,28 +505,18 @@ def dumps_params(report: FitReport) -> str:
 def write_params_json(report: FitReport, dest: Source) -> None:
     """Write dumps_params' text; dest is opened only once it has been built,
     so a report that cannot be serialized leaves dest as it was."""
-    text = dumps_params(report)
-    stream, owned = _open_text(dest, "w")
-    try:
-        stream.write(text)
-    finally:
-        if owned:
-            stream.close()
+    write_text(dumps_params(report), dest)
 
 
 def read_params_json(source: Source) -> FitReport:
     """Read a report back; floats survive the round trip unchanged."""
-    stream, owned = _open_text(source, "r")
-    try:
+    with _text_stream(source, "r") as stream:
         try:
             doc = json.load(stream)
         except UnicodeDecodeError as exc:
             raise _not_utf8("read_params_json", exc) from None
         except ValueError as exc:  # a JSONDecodeError, or an integer over int's digit limit
             raise DataError(f"read_params_json: invalid JSON: {exc}") from None
-    finally:
-        if owned:
-            stream.close()
     if not isinstance(doc, dict) or "rows" not in doc:
         raise DataError("read_params_json: not a parameter report document")
     version = doc.get("schema_version")

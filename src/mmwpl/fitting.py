@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DataError, DomainError, NumericalError, SingularDesignError, UsageError
 from .freespace import friis_db
 from .models import (
+    XPD_BASE_FAMILIES,
     AbgParams,
     CifParams,
     CiParams,
@@ -133,8 +134,9 @@ class _Terms(NamedTuple):
 
 def _ci(t: _Terms) -> CiParams:
     if not t.dec.any():
-        raise NumericalError(
-            "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
+        raise SingularDesignError(
+            "fit_ci: degenerate geometry, every sample at the 1 m reference distance",
+            regressor="distance",
         )
     (n,), resid = _least_squares((t.dec,), t.excess, ("distance",))
     sigma = _rms(resid)
@@ -297,7 +299,7 @@ def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
     offset is the mean residual of the cross-polarized data against the
     base prediction; sigma is the RMS spread left after the offset.
     """
-    if not isinstance(base, (CiParams, AbgParams, CifParams)):
+    if not isinstance(base, CoPolarizedParams):
         raise DataError("fit_xpd: base must be a fitted CI, ABG, or CIF model")
     return _xpd(base, _ready(cross_dataset, "fit_xpd"))
 
@@ -320,7 +322,7 @@ def _fit_families(t, key, freq_tag, families, f0_ghz, source, rows, bases):
     for family in families:
         params = _cif(t, f0_ghz) if family == "CIF" else _KERNELS[family](t)
         rows.append(FitRow(family, key, params, freq_ghz=freq_tag, n_samples=n, source=source))
-        if family == "FI":
+        if family not in XPD_BASE_FAMILIES:
             continue
         slot = (key.environment, key.layout, freq_tag, family)
         if pol is PolarizationClass.VV:
@@ -402,8 +404,7 @@ def fit_scenarios(
                 if index.size == 0:
                     continue
                 part = terms.take(index)
-            source = (f"{dataset.provenance}[{key.label()}]" if dataset.provenance
-                      else key.label())
+            source = key.source(dataset.provenance)
             freqs = np.unique(part.f).tolist()
             for freq in freqs:
                 one = part if len(freqs) == 1 else part.take(np.flatnonzero(part.f == freq))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -138,10 +138,9 @@ class CifParams:
         return friis_db(f, REFERENCE_DISTANCE_M) + 10.0 * slope * np.log10(d)
 
 
+# the families that may carry a cross-polarization extension
 CoPolarizedParams = Union[CiParams, AbgParams, CifParams]
-
-# families that may carry a cross-polarization extension
-XPD_BASE_FAMILIES = ("CI", "ABG", "CIF")
+XPD_BASE_FAMILIES = tuple(cls.family for cls in get_args(CoPolarizedParams))
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class XpdExtension:
 
     def __post_init__(self):
         _check_sigma(self.sigma_db)
-        if not isinstance(self.base, (CiParams, AbgParams, CifParams)):
+        if not isinstance(self.base, CoPolarizedParams):
             raise ValueError("XPD extension requires a CI, ABG, or CIF base")
 
     @property

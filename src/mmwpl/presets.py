@@ -37,8 +37,6 @@ from .taxonomy import (
     ScenarioKey,
 )
 
-PRESETS_VERSION = "1"
-
 _E = Environment
 _L = Layout
 _P = PolarizationClass
@@ -184,18 +182,12 @@ def _table3_report() -> FitReport:
     return FitReport(tuple(rows))
 
 
-def _vv_ci_base(freq: float, env: Environment, layout: Layout) -> CiParams:
-    for f, pol, e, lo, ple, s_ci, *_ in _SINGLE_FREQ_CI_FI:
-        if f == freq and pol is _P.VV and e is env and lo is layout:
-            return CiParams(ple, s_ci)
-    raise KeyError((freq, env, layout))
-
-
 def _table4_report() -> FitReport:
-    rows = []
+    table3, rows = _table3_report(), []
     for freq, env, layout, xpd, sigma in _SINGLE_FREQ_CIX:
         key = ScenarioKey(env, layout, _P.VH)
-        ext = XpdExtension(_vv_ci_base(freq, env, layout), xpd, sigma)
+        base = table3.single("CI", ScenarioKey(env, layout, _P.VV), freq).params
+        ext = XpdExtension(base, xpd, sigma)
         rows.append(
             FitRow("CIX", key, ext, freq_ghz=freq, source=f"table4:{freq:g}:{key.label()}")
         )
@@ -327,11 +319,6 @@ def preset_report(selector: str) -> FitReport:
     if not rows:
         raise UsageError(f"preset selector {selector!r} matches no rows")
     return FitReport(tuple(rows))
-
-
-def preset_style(selector: str) -> str:
-    """The table style a selector naturally renders as."""
-    return _parse_selector(selector).table
 
 
 def preset_model(selector: str, family: str):

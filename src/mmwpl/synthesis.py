@@ -51,6 +51,8 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     Identical specs give identical datasets. The scenario must name a
     concrete polarization (VV or VH): samples always carry a single
     polarization, so the Combined class cannot be synthesized directly.
+    Each block's sample count must be a positive integer whose float64
+    block numpy can size (DataError, raised before any draw).
     The block frequencies and the ends of the distance range must satisfy
     taxonomy.POINT_RULES (DomainError); a drawn distance or mean that
     overflows float64 raises NumericalError. A drawn sample that breaks the
@@ -68,8 +70,9 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
         raise DataError(f"synthesize: seed must be a non-negative integer, got {spec.seed!r}")
     if len(spec.frequencies) == 0:
         raise DataError("synthesize: no frequency blocks requested")
+    largest = np.iinfo(np.intp).max // 8
     for _, count in spec.frequencies:
-        if isinstance(count, bool) or int(count) != count or count <= 0:
+        if isinstance(count, bool) or int(count) != count or not 0 < count <= largest:
             raise DataError(f"synthesize: bad sample count {count!r}")
     block_freqs = np.array([f_ghz for f_ghz, _ in spec.frequencies], dtype=float)
     d_lo, d_hi = (float(v) for v in spec.distance_range_m)

@@ -132,6 +132,11 @@ class ScenarioKey:
             (self.environment.value, self.layout.value, self.polarization_class.value)
         )
 
+    def source(self, provenance: str) -> str:
+        """The name of this scenario's sample set within a dataset of the given
+        provenance; delta_sigma pairs CI and FI rows by it."""
+        return f"{provenance}[{self.label()}]" if provenance else self.label()
+
 
 # (environment, layout) pairs that carry measurements. LOS closed-plan is a
 # valid key but has no data behind it.
@@ -350,8 +355,7 @@ def partition_by_scenario(dataset: Dataset, key: ScenarioKey) -> Dataset:
         & (dataset.layout == CODE[key.layout])
         & wanted[dataset.pol]
     )
-    prov = f"{dataset.provenance}[{key.label()}]" if dataset.provenance else key.label()
-    return dataset.select(mask, prov)
+    return dataset.select(mask, key.source(dataset.provenance))
 
 
 def ensure_fit_ready(dataset: Dataset, operation: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

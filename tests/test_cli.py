@@ -701,6 +701,14 @@ class TestHugeValues:
         cif = dataio.read_params_json(str(out_path)).single("CIF", freq_ghz=None)
         assert cif.params.f0_ghz == np.mean([1e30, 1e30, 2e30, 2e30])  # already whole
 
+    @pytest.mark.parametrize("count", [10**20, 2**61])
+    def test_unsizable_synth_count_is_data(self, count):
+        code, out, err, caught = run_main(["synth", "--preset", "table3:28:VV:LOS:CO",
+                                           "--model", "CI", "--scenario", "LOS:CO:VV",
+                                           "--freqs", f"28:{count}"])
+        assert (code, out, err, caught) == (
+            3, "", f"data error: synthesize: bad sample count {count}\n", [])
+
 
 class TestParamsDocumentShape:
     @pytest.mark.parametrize("rows, message", [

@@ -326,6 +326,18 @@ class TestFitCif:
             fit_cif(ds, -5.0)
 
 
+@pytest.mark.parametrize("fit, dataset", [
+    (fit_ci, Dataset(tuple(mk(28.0, 1.0, 60.0 + i) for i in range(3)))),
+    (fit_fi, Dataset(tuple(mk(28.0, 10.0, 70.0 + i) for i in range(3)))),
+    (fit_abg, Dataset(tuple(mk(28.0, d, 70.0 + d) for d in (2.0, 5.0, 11.0)))),
+    (fit_cif, Dataset(tuple(mk(28.0, d, 70.0 + d) for d in (2.0, 5.0, 11.0)))),
+], ids=["ci-all-at-1m", "fi-one-distance", "abg-one-frequency", "cif-one-frequency"])
+def test_degenerate_designs_raise_singular_design_error(fit, dataset):
+    with pytest.raises(SingularDesignError) as err:
+        fit(dataset)
+    assert err.value.regressor is not None
+
+
 class TestFitXpd:
     def test_constant_offset_recovery(self):
         base = CiParams(ple_n=2.5, sigma_db=1.0)
@@ -621,9 +633,9 @@ def ref_terms(f, d, pl):
 
 def ref_ci(t):
     if not np.any(t.dec):
-        raise NumericalError(
-            "fit_ci: degenerate geometry, every sample at the 1 m reference distance"
-        )
+        raise SingularDesignError(
+            "fit_ci: degenerate geometry, every sample at the 1 m reference distance",
+            regressor="distance")
     n = float(t.excess @ t.dec) / float(t.dec @ t.dec)
     sigma = ref_rms(t.excess - n * t.dec)
     ref_require_finite("fit_ci", n=n, sigma_db=sigma)

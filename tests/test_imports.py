@@ -1,10 +1,12 @@
-"""The package imports only the standard library, numpy and itself, and
-parses as the oldest Python it declares.
+"""The package imports only the standard library, numpy and itself,
+parses as the oldest Python it declares, and opens files only in dataio.
 
 scipy and the test tools may be installed next to mmwpl, but a module
 that imported them would not run where only the declared dependency,
 numpy, is present. pyproject.toml declares requires-python >= 3.10, so no
-module may use syntax a 3.10 parser rejects.
+module may use syntax a 3.10 parser rejects. dataio alone decides how a
+text file is opened (encoding, newline handling, closing), so no other
+module calls the builtin open.
 """
 
 import ast
@@ -38,3 +40,23 @@ def test_imports_only_stdlib_numpy_and_mmwpl(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_parses_with_the_oldest_declared_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def builtin_open_calls(path):
+    """Line numbers of calls to open, io.open or builtins.open in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute) and func.attr == "open"
+                    and isinstance(func.value, ast.Name) and func.value.id in ("io", "builtins")):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_dataio_opens_files(path):
+    calls = list(builtin_open_calls(path))
+    if path.name == "dataio.py":
+        assert calls  # the check sees dataio's own open
+    else:
+        assert calls == []

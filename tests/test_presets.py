@@ -12,8 +12,8 @@ from _tables import (
 )
 from mmwpl.errors import UsageError
 from mmwpl.models import CifParams, CiParams, XpdExtension
-from mmwpl.presets import preset_model, preset_report, preset_style
-from mmwpl.report import delta_sigma, render_table
+from mmwpl.presets import PRESET_TABLES, preset_model, preset_report
+from mmwpl.report import FitReport, delta_sigma, render_table, render_tables
 
 EXPECTED = {
     "table3": TABLE3_ROWS,
@@ -101,9 +101,12 @@ class TestSelectors:
         b = preset_report("table5:nlos-cp")
         assert a == b
 
-    def test_default_style_follows_the_table(self):
-        assert preset_style("table3:28:VV") == "table3"
-        assert preset_style("table5:nlos-cp") == "table5"
+    def test_rows_render_only_in_their_own_catalog_style(self):
+        # report infers a preset's table from its rows, as it does for params
+        for table in PRESET_TABLES:
+            catalog = preset_report(table)
+            for report in (catalog, *(FitReport((row,)) for row in catalog.rows)):
+                assert render_tables(report) == render_table(report, table)
 
     def test_unknown_table(self):
         with pytest.raises(UsageError, match="unknown preset table"):

@@ -126,6 +126,14 @@ def test_rejects_bad_counts_and_frequencies():
         synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, True),)))
 
 
+# counts numpy cannot size a float64 block for; smaller counts that it would
+# try to allocate are left untested, as they may exhaust the machine's memory
+@pytest.mark.parametrize("count", [10**20, 2**61])
+def test_rejects_counts_numpy_cannot_size(count):
+    with pytest.raises(DataError, match=f"bad sample count {count}$"):
+        synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, count),)))
+
+
 @pytest.mark.parametrize("freq", [0.001, 1e-320])
 def test_rejects_draws_that_break_the_sample_invariants(freq):
     # a near-zero frequency puts the mean below 0 dB, a loss read_csv refuses
