@@ -17,12 +17,12 @@ scenario, `table5:nlos-cp` one environment/layout block. Tokens may name
 a frequency in GHz ("28", "73"), "multi" for multi-frequency rows, a
 polarization class, an environment or a layout (any token of the
 taxonomy's token tables, such as VV, Comb., LOS or CO), or a fused
-environment-layout pair ("nlos-cp").
+environment-layout pair ("nlos-cp"). Each token pins one row value; a later
+token replaces an earlier one of its kind, and "multi" with a frequency
+matches nothing.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .errors import UsageError
 from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
@@ -194,104 +194,80 @@ def _table4_report() -> FitReport:
     return FitReport(tuple(rows))
 
 
-def _table5_report() -> FitReport:
-    rows = []
-    for (env, layout), fams in _MULTI_FREQ.items():
-        vv = ScenarioKey(env, layout, _P.VV)
-        vh = ScenarioKey(env, layout, _P.VH)
-        ci = CiParams(*fams["CI"])
-        cif = CifParams(*fams["CIF"])
-        abg = AbgParams(*fams["ABG"])
-        pairs = (
-            ("CI", vv, ci),
-            ("CIX", vh, XpdExtension(ci, *fams["CIX"])),
-            ("CIF", vv, cif),
-            ("CIFX", vh, XpdExtension(cif, *fams["CIFX"])),
-            ("ABG", vv, abg),
-            ("ABGX", vh, XpdExtension(abg, *fams["ABGX"])),
-        )
-        for family, key, params in pairs:
-            rows.append(
-                FitRow(family, key, params, source=f"table5:{key.label()}")
-            )
-    return FitReport(tuple(rows))
+# the multi-frequency families in table order, with their parameter classes
+_MULTI_FREQ_FAMILIES = (("CI", CiParams), ("CIF", CifParams), ("ABG", AbgParams))
 
 
-def _table6_report() -> FitReport:
+def _multi_freq_report(table: str, blocks: dict, pol: PolarizationClass) -> FitReport:
+    """One block of rows per (env, layout) in table order; a family with an
+    XPD extension in the block gets its V-H row right after its base row."""
     rows = []
-    for (env, layout), fams in _MULTI_FREQ_COMBINED.items():
-        key = ScenarioKey(env, layout, _P.COMBINED)
-        for family, params in (
-            ("CI", CiParams(*fams["CI"])),
-            ("CIF", CifParams(*fams["CIF"])),
-            ("ABG", AbgParams(*fams["ABG"])),
-        ):
-            rows.append(
-                FitRow(family, key, params, source=f"table6:{key.label()}")
-            )
+    for (env, layout), fams in blocks.items():
+        key, vh = ScenarioKey(env, layout, pol), ScenarioKey(env, layout, _P.VH)
+        for family, params_cls in _MULTI_FREQ_FAMILIES:
+            base = params_cls(*fams[family])
+            rows.append(FitRow(family, key, base, source=f"{table}:{key.label()}"))
+            if family + "X" in fams:
+                ext = XpdExtension(base, *fams[family + "X"])
+                rows.append(FitRow(family + "X", vh, ext, source=f"{table}:{vh.label()}"))
     return FitReport(tuple(rows))
 
 
 _CATALOG_BUILDERS = {
     "table3": _table3_report,
     "table4": _table4_report,
-    "table5": _table5_report,
-    "table6": _table6_report,
+    "table5": lambda: _multi_freq_report("table5", _MULTI_FREQ, _P.VV),
+    "table6": lambda: _multi_freq_report("table6", _MULTI_FREQ_COMBINED, _P.COMBINED),
 }
 
 PRESET_TABLES = tuple(_CATALOG_BUILDERS)
 
+# how to read off a row the value each kind of selector token pins; "multi"
+# is a kind of its own, so it and a frequency never replace each other
+_PINNED = {
+    "freq": lambda row: row.freq_ghz,
+    "multi": lambda row: row.freq_ghz is None,
+    "pol": lambda row: row.scenario.polarization_class,
+    "env": lambda row: row.scenario.environment,
+    "layout": lambda row: row.scenario.layout,
+}
+_SCENARIO_TOKENS = (("pol", POL_TOKENS), ("env", ENV_TOKENS), ("layout", LAYOUT_TOKENS))
 
-class _Selector:
-    def __init__(self, table: str):
-        self.table = table
-        self.freq: Optional[float] = None
-        self.multi = False
-        self.pol: Optional[PolarizationClass] = None
-        self.env: Optional[Environment] = None
-        self.layout: Optional[Layout] = None
+
+def _token_pins(token: str, selector: str) -> dict:
+    """The row values one selector token pins, by kind."""
+    low = token.lower()
+    if low == "multi":
+        return {"multi": True}
+    for kind, tokens in _SCENARIO_TOKENS:
+        if low in tokens:
+            return {kind: tokens[low]}
+    try:
+        return {"freq": float(low)}
+    except ValueError:
+        pass
+    # fused environment-layout form, e.g. "nlos-cp"
+    head, sep, tail = low.partition("-")
+    if sep and head in ENV_TOKENS and tail in LAYOUT_TOKENS:
+        return {"env": ENV_TOKENS[head], "layout": LAYOUT_TOKENS[tail]}
+    raise UsageError(
+        f"unknown preset selector token {token!r} in {selector!r}; tokens may be "
+        "a frequency in GHz, 'multi', VV/VH/Comb, LOS/NLOS, CO/OP/CP, or env-layout"
+    )
 
 
-def _parse_selector(selector: str) -> _Selector:
-    parts = [p.strip() for p in selector.split(":")]
-    table = parts[0].lower()
-    if table not in _CATALOG_BUILDERS:
+def _parse_selector(selector: str) -> tuple[str, dict]:
+    """The table id and the row values the selector pins, by kind; a later
+    token replaces an earlier one of the same kind, empty tokens are skipped."""
+    table, *tokens = (p.strip() for p in selector.split(":"))
+    if table.lower() not in _CATALOG_BUILDERS:
         raise UsageError(
-            f"unknown preset table {parts[0]!r}; expected one of {PRESET_TABLES}"
+            f"unknown preset table {table!r}; expected one of {PRESET_TABLES}"
         )
-    sel = _Selector(table)
-    for token in parts[1:]:
-        low = token.lower()
-        if not low:
-            continue
-        if low == "multi":
-            sel.multi = True
-            continue
-        if low in POL_TOKENS:
-            sel.pol = POL_TOKENS[low]
-            continue
-        if low in ENV_TOKENS:
-            sel.env = ENV_TOKENS[low]
-            continue
-        if low in LAYOUT_TOKENS:
-            sel.layout = LAYOUT_TOKENS[low]
-            continue
-        try:
-            sel.freq = float(low)
-            continue
-        except ValueError:
-            pass
-        # fused environment-layout form, e.g. "nlos-cp"
-        head, sep, tail = low.partition("-")
-        if sep and head in ENV_TOKENS and tail in LAYOUT_TOKENS:
-            sel.env = ENV_TOKENS[head]
-            sel.layout = LAYOUT_TOKENS[tail]
-            continue
-        raise UsageError(
-            f"unknown preset selector token {token!r} in {selector!r}; tokens may be "
-            "a frequency in GHz, 'multi', VV/VH/Comb, LOS/NLOS, CO/OP/CP, or env-layout"
-        )
-    return sel
+    pins: dict = {}
+    for token in filter(None, tokens):
+        pins.update(_token_pins(token, selector))
+    return table.lower(), pins
 
 
 def preset_report(selector: str) -> FitReport:
@@ -301,24 +277,12 @@ def preset_report(selector: str) -> FitReport:
     it. An empty match raises UsageError (presets are a fixed catalog, so
     an empty result always means a mistyped selector).
     """
-    sel = _parse_selector(selector)
-    report = _CATALOG_BUILDERS[sel.table]()
-    rows = []
-    for row in report.rows:
-        if sel.multi and row.freq_ghz is not None:
-            continue
-        if sel.freq is not None and row.freq_ghz != sel.freq:
-            continue
-        if sel.pol is not None and row.scenario.polarization_class is not sel.pol:
-            continue
-        if sel.env is not None and row.scenario.environment is not sel.env:
-            continue
-        if sel.layout is not None and row.scenario.layout is not sel.layout:
-            continue
-        rows.append(row)
+    table, pins = _parse_selector(selector)
+    rows = tuple(row for row in _CATALOG_BUILDERS[table]().rows
+                 if all(_PINNED[kind](row) == value for kind, value in pins.items()))
     if not rows:
         raise UsageError(f"preset selector {selector!r} matches no rows")
-    return FitReport(tuple(rows))
+    return FitReport(rows)
 
 
 def preset_model(selector: str, family: str):

@@ -13,18 +13,17 @@ Numbers are rendered at the published precision: exponents, intercepts,
 sigma, and XPD to one decimal, the frequency weighting b to two, f0 to
 whole GHz, ties away from zero.
 
-A report keeps one index of its rows, built on first use: plain tuples
-(family, environment, layout, polarization class, freq_ghz) to the rows
-with that key, in row order. FitReport.find looks a full key up in it, and
-every table cell reads the first row of its key from it. Rows whose
-frequency is NaN are not indexed, so they match no lookup, as NaN equals
-no frequency; 28 and 28.0 are the same key.
+FitReport.find scans the rows in order; the table renderer reads each
+cell's row from an index it builds once per render, keyed by plain tuples
+(family, environment, layout, polarization class, freq_ghz) and holding
+the first row of each key. A NaN frequency equals no frequency, so rows
+at NaN match no find query and fill no table cell; 28 and 28.0 are the
+same frequency.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -83,37 +82,20 @@ class FitReport:
         scenario: Optional[ScenarioKey] = None,
         freq_ghz: Union[float, None, _Wildcard] = ANY_FREQ,
     ) -> tuple[FitRow, ...]:
-        """Rows matching the given family, scenario, and frequency class.
+        """Rows matching the given family, scenario, and frequency class, in
+        row order.
 
         family and scenario None match anything. freq_ghz defaults to
         ANY_FREQ, which matches every row; None selects multi-frequency
-        rows; any other value matches rows whose freq_ghz equals it. A
-        query naming all three, with a ScenarioKey, is one lookup in the
-        report's row index; any other query scans the rows.
+        rows; any other value matches rows whose freq_ghz equals it, so a
+        NaN matches no row and 28 matches 28.0.
         """
-        if family is not None and type(scenario) is ScenarioKey and freq_ghz is not ANY_FREQ:
-            key = (family, scenario.environment, scenario.layout, scenario.polarization_class,
-                   freq_ghz)
-            return self._index.get(key, ())
         return tuple(
             row for row in self.rows
             if (family is None or row.family == family)
             and (scenario is None or row.scenario == scenario)
             and (freq_ghz is ANY_FREQ or row.freq_ghz == freq_ghz)
         )
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        """Rows by plain (family, environment, layout, polarization class,
-        freq_ghz) key, in row order; rows at a NaN frequency are left out."""
-        index: dict = {}
-        for row in self.rows:
-            freq, scenario = row.freq_ghz, row.scenario
-            if freq == freq:
-                key = (row.family, scenario.environment, scenario.layout,
-                       scenario.polarization_class, freq)
-                index.setdefault(key, []).append(row)
-        return {key: tuple(rows) for key, rows in index.items()}
 
     def single(self, family, scenario=None, freq_ghz=ANY_FREQ) -> FitRow:
         """The unique matching row; raises UsageError when absent or ambiguous."""
@@ -172,23 +154,26 @@ def _render(headers: list[str], body: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NO_ROW = (None,)
-
-
 class _Grid:
-    """What every table body reads, computed once per render: the report's
-    row index, the environment/layout pairs to render (measured pairs
+    """What every table body reads, computed once per render: the first row
+    of each plain (family, environment, layout, polarization class,
+    freq_ghz) key, the environment/layout pairs to render (measured pairs
     first) and the sorted distinct frequencies a row can match."""
 
     def __init__(self, report: FitReport):
-        self._index = report._index
+        self._first: dict = {}
+        for row in report.rows:
+            scenario = row.scenario
+            self._first.setdefault((row.family, scenario.environment, scenario.layout,
+                                    scenario.polarization_class, row.freq_ghz), row)
         self.pairs = ordered_pairs((r.scenario.environment, r.scenario.layout) for r in report.rows)
         self.freqs = sorted({r.freq_ghz for r in report.rows
                              if r.freq_ghz is not None and r.freq_ghz == r.freq_ghz})
 
     def first(self, *key) -> Optional[FitRow]:
-        """The first row of a plain key, or None."""
-        return self._index.get(key, _NO_ROW)[0]
+        """The first row of a plain key, or None; no key asks for a NaN
+        frequency, so rows at NaN are never returned."""
+        return self._first.get(key)
 
 
 def _table3_body(grid: _Grid) -> list[list[str]]:

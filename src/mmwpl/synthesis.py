@@ -72,7 +72,11 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
         raise DataError("synthesize: no frequency blocks requested")
     largest = np.iinfo(np.intp).max // 8
     for _, count in spec.frequencies:
-        if isinstance(count, bool) or int(count) != count or not 0 < count <= largest:
+        try:  # the range test comes first: it refuses inf and NaN before int()
+            good = not isinstance(count, bool) and 0 < count <= largest and int(count) == count
+        except TypeError:  # None, a string or anything else that does not order
+            good = False
+        if not good:
             raise DataError(f"synthesize: bad sample count {count!r}")
     block_freqs = np.array([f_ghz for f_ghz, _ in spec.frequencies], dtype=float)
     d_lo, d_hi = (float(v) for v in spec.distance_range_m)

@@ -108,6 +108,20 @@ class TestSelectors:
             for report in (catalog, *(FitReport((row,)) for row in catalog.rows)):
                 assert render_tables(report) == render_table(report, table)
 
+    def test_later_token_replaces_an_earlier_one_of_its_kind(self):
+        assert preset_report("table3:28:73") == preset_report("table3:73")
+        assert preset_report("table3:LOS:NLOS:CO") == preset_report("table3:NLOS:CO")
+
+    def test_empty_tokens_are_skipped(self):
+        assert preset_report("table3::28") == preset_report("table3:28")
+
+    @pytest.mark.parametrize("selector", ["table3:multi:28", "table5:28", "table5:nlos-cp:LOS"])
+    def test_contradicting_tokens_match_no_rows(self, selector):
+        # multi and a frequency are kinds of their own, so both apply; a
+        # later LOS replaces the fused pair's NLOS, and LOS has no CP block
+        with pytest.raises(UsageError, match="matches no rows"):
+            preset_report(selector)
+
     def test_unknown_table(self):
         with pytest.raises(UsageError, match="unknown preset table"):
             preset_report("table7:28")
@@ -128,3 +142,28 @@ class TestSelectors:
         report = preset_report("table3")
         for row in report.rows:
             assert not hasattr(row, "delta_sigma_db")
+
+
+PAIRS = ("LOS:CO", "LOS:OP", "NLOS:CO", "NLOS:OP", "NLOS:CP")
+
+# each catalog's rows in order, as (family, scenario label, freq_ghz, source)
+ROW_SEQUENCES = {
+    "table3": [(family, f"{pair}:{pol}", freq, f"table3:{freq:g}:{pair}:{pol}")
+               for freq in (28.0, 73.0) for pol in ("VV", "VH", "Comb") for pair in PAIRS
+               for family in ("CI", "FI")],
+    "table4": [("CIX", f"{pair}:VH", freq, f"table4:{freq:g}:{pair}:VH")
+               for freq in (28.0, 73.0) for pair in PAIRS],
+    "table5": [(family + x, f"{pair}:{pol}", None, f"table5:{pair}:{pol}")
+               for pair in PAIRS for family in ("CI", "CIF", "ABG")
+               for x, pol in (("", "VV"), ("X", "VH"))],
+    "table6": [(family, f"{pair}:Comb", None, f"table6:{pair}:Comb")
+               for pair in PAIRS for family in ("CI", "CIF", "ABG")],
+}
+
+
+@pytest.mark.parametrize("table", PRESET_TABLES)
+def test_catalog_row_sequence(table):
+    # rendering reorders rows, so the catalogs' own order is pinned here
+    got = [(r.family, r.scenario.label(), r.freq_ghz, r.source)
+           for r in preset_report(table).rows]
+    assert got == ROW_SEQUENCES[table]

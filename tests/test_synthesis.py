@@ -126,12 +126,17 @@ def test_rejects_bad_counts_and_frequencies():
         synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, True),)))
 
 
-# counts numpy cannot size a float64 block for; smaller counts that it would
-# try to allocate are left untested, as they may exhaust the machine's memory
-@pytest.mark.parametrize("count", [10**20, 2**61])
+# counts numpy cannot size a float64 block for, and counts int() cannot take;
+# smaller counts that numpy would try to allocate are left untested, as they
+# may exhaust the machine's memory
+@pytest.mark.parametrize("count", [10**20, 2**61, float("inf"), float("nan"), None])
 def test_rejects_counts_numpy_cannot_size(count):
     with pytest.raises(DataError, match=f"bad sample count {count}$"):
         synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, count),)))
+
+
+def test_accepts_a_whole_float_count():
+    assert len(synthesize(spec(CiParams(2.0, 1.0), freqs=((28.0, 2.0),)))) == 2
 
 
 @pytest.mark.parametrize("freq", [0.001, 1e-320])
