@@ -52,6 +52,7 @@ from .taxonomy import (
     Dataset,
     Environment,
     Layout,
+    MIN_DISTANCE_M,
     Polarization,
     PolarizationClass,
     ScenarioKey,
@@ -408,7 +409,7 @@ def _params_from_fields(obj: dict):
                 if name == "base":
                     values.append(_params_from_fields(obj["base"]))
                 else:
-                    value = obj.get(name, 1.0) if name == "d0_m" else obj[name]
+                    value = obj.get(name, MIN_DISTANCE_M) if name == "d0_m" else obj[name]
                     values.append(_finite(value, f"{model} parameter {name}"))
             return cls(*values)
     except DataError:  # an XPD base's own error, already prefixed

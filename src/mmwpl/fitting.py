@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DataError, DomainError, NumericalError, SingularDesignError, UsageError
 from .freespace import friis_db
 from .models import (
+    PER_FREQUENCY_FAMILIES,
+    POOLED_FAMILIES,
     XPD_BASE_FAMILIES,
     AbgParams,
     CifParams,
@@ -37,6 +39,7 @@ from .taxonomy import (
     CODE,
     ENVIRONMENTS,
     LAYOUTS,
+    MIN_DISTANCE_M,
     Dataset,
     Polarization,
     PolarizationClass,
@@ -126,7 +129,8 @@ class _Terms(NamedTuple):
 
     @classmethod
     def of(cls, f: np.ndarray, d: np.ndarray, pl: np.ndarray) -> "_Terms":
-        return cls(f, d, pl, 10.0 * np.log10(d), pl - friis_db(f, 1.0), 10.0 * np.log10(f))
+        excess = pl - friis_db(f, MIN_DISTANCE_M)
+        return cls(f, d, pl, 10.0 * np.log10(d), excess, 10.0 * np.log10(f))
 
     def take(self, index: np.ndarray) -> "_Terms":
         return _Terms(*(column[index] for column in self))
@@ -300,7 +304,8 @@ def fit_xpd(base: CoPolarizedParams, cross_dataset: Dataset) -> XpdExtension:
     base prediction; sigma is the RMS spread left after the offset.
     """
     if not isinstance(base, CoPolarizedParams):
-        raise DataError("fit_xpd: base must be a fitted CI, ABG, or CIF model")
+        raise DataError(f"fit_xpd: base must be a fitted {', '.join(XPD_BASE_FAMILIES[:-1])}, "
+                        f"or {XPD_BASE_FAMILIES[-1]} model")
     return _xpd(base, _ready(cross_dataset, "fit_xpd"))
 
 
@@ -346,10 +351,10 @@ def fit_scenarios(
     measured pairs first. A selection without a polarization fits V-V, V-H
     and, when both are present, Combined; a scenario an earlier selection
     already fitted is not fitted again. Each polarization's samples are
-    fitted per frequency with CI and FI and, when they span several
-    frequencies, pooled with CI, CIF and ABG. A V-H fit of CI, ABG or CIF
-    whose V-V fit of the same pair and frequency class came earlier also
-    gets its XPD extension (CIX, ABGX, CIFX).
+    fitted per frequency with PER_FREQUENCY_FAMILIES (CI, FI) and, when they
+    span several frequencies, pooled with POOLED_FAMILIES (CI, CIF, ABG), in
+    that order. A V-H fit of an XPD_BASE_FAMILIES family whose V-V fit of the
+    same pair and frequency class came earlier also gets its XPD extension.
 
     families None fits all of those. A list of names from FIT_FAMILIES
     keeps only the named ones; a named ABG or CIF is also fitted on samples
@@ -362,7 +367,7 @@ def fit_scenarios(
     Raises DataError when any sample of the dataset is invalid, also one
     outside the selections, or when no selected scenario holds samples.
     """
-    per_freq, pooled, one_freq = ("CI", "FI"), ("CI", "CIF", "ABG"), ()
+    per_freq, pooled, one_freq = PER_FREQUENCY_FAMILIES, POOLED_FAMILIES, ()
     if families is not None:
         wanted = tuple(families)
         unknown = [f for f in wanted if f not in FIT_FAMILIES]

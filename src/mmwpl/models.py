@@ -13,9 +13,10 @@ a constant cross-polarization discrimination offset in dB.
 Predictions are the mean path loss only; shadow fading is carried as the
 sigma_db attribute and applied by the synthesis module.
 
-Each class holds only an unchecked _mean_db(f, d). The shared
-mean_path_loss_db method and predict check every point against the
-samples' domain, taxonomy.POINT_RULES.
+Every class derives from _Params, which checks sigma_db and any d0_m (fixed
+at taxonomy.MIN_DISTANCE_M, 1 m) and gives mean_path_loss_db: like predict,
+it checks each point against taxonomy.POINT_RULES before the class's own
+unchecked _mean_db(f, d). The family tables and fit plans live here too.
 """
 
 from __future__ import annotations
@@ -28,41 +29,45 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .freespace import friis_db
-from .taxonomy import POINT_RULES, Dataset, ensure_fit_ready
-
-REFERENCE_DISTANCE_M = 1.0
+from .taxonomy import MIN_DISTANCE_M, POINT_RULES, Dataset, ensure_fit_ready
 
 
-def _check_sigma(sigma_db: float) -> None:
-    if not math.isfinite(sigma_db) or sigma_db < 0.0:
-        raise ValueError("sigma_db must be finite and non-negative")
+class _Params:
+    """What every parameter class shares: the sigma_db check, the 1 m d0_m
+    check for a class with a d0_m, and mean_path_loss_db."""
+
+    def __post_init__(self):
+        if not math.isfinite(self.sigma_db) or self.sigma_db < 0.0:
+            raise ValueError("sigma_db must be finite and non-negative")
+        if getattr(self, "d0_m", MIN_DISTANCE_M) != MIN_DISTANCE_M:
+            raise ValueError("reference distance is fixed at 1 m")
+
+    def mean_path_loss_db(self, frequency_ghz, distance_m):
+        """Mean path loss in dB; predict's DomainErrors, an overflowing mean as is."""
+        f, d = _grid(self, frequency_ghz, distance_m)
+        _check_points(self, f, d)
+        return self._mean_db(f, d)
 
 
-def _check_reference(d0_m: float) -> None:
-    if d0_m != REFERENCE_DISTANCE_M:
-        raise ValueError("reference distance is fixed at 1 m")
+mean_path_loss_db = _Params.mean_path_loss_db
 
 
 @dataclass(frozen=True)
-class CiParams:
+class CiParams(_Params):
     """Close-in model: free space to 1 m, then one path loss exponent."""
 
     ple_n: float
     sigma_db: float
-    d0_m: float = REFERENCE_DISTANCE_M
+    d0_m: float = MIN_DISTANCE_M
 
     family = "CI"
 
-    def __post_init__(self):
-        _check_sigma(self.sigma_db)
-        _check_reference(self.d0_m)
-
     def _mean_db(self, f, d):
-        return friis_db(f, REFERENCE_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
+        return friis_db(f, MIN_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
 
 
 @dataclass(frozen=True)
-class FiParams:
+class FiParams(_Params):
     """Floating-intercept line: intercept in dB plus slope per distance decade.
 
     Frequency never enters the prediction, which is why fitting restricts
@@ -75,16 +80,13 @@ class FiParams:
 
     family = "FI"
 
-    def __post_init__(self):
-        _check_sigma(self.sigma_db)
-
     def _mean_db(self, f, d):
         d = np.broadcast_to(d, np.broadcast(f, d).shape)  # f shapes the grid only
         return self.alpha_db + 10.0 * self.beta_slope * np.log10(d)
 
 
 @dataclass(frozen=True)
-class AbgParams:
+class AbgParams(_Params):
     """Multi-frequency model with separate distance and frequency exponents.
 
     alpha_dist scales distance decades, gamma_freq scales frequency decades
@@ -95,13 +97,9 @@ class AbgParams:
     beta_db: float
     gamma_freq: float
     sigma_db: float
-    d0_m: float = REFERENCE_DISTANCE_M
+    d0_m: float = MIN_DISTANCE_M
 
     family = "ABG"
-
-    def __post_init__(self):
-        _check_sigma(self.sigma_db)
-        _check_reference(self.d0_m)
 
     def _mean_db(self, f, d):
         return (
@@ -112,7 +110,7 @@ class AbgParams:
 
 
 @dataclass(frozen=True)
-class CifParams:
+class CifParams(_Params):
     """Close-in model with the exponent weighted linearly in frequency.
 
     The effective exponent at frequency f is n * (1 + b * (f - f0) / f0);
@@ -123,28 +121,36 @@ class CifParams:
     b: float
     f0_ghz: float
     sigma_db: float
-    d0_m: float = REFERENCE_DISTANCE_M
+    d0_m: float = MIN_DISTANCE_M
 
     family = "CIF"
 
     def __post_init__(self):
-        _check_sigma(self.sigma_db)
-        _check_reference(self.d0_m)
+        super().__post_init__()
         if not math.isfinite(self.f0_ghz) or self.f0_ghz <= 0.0:
             raise ValueError("f0_ghz must be finite and positive")
 
     def _mean_db(self, f, d):
         slope = self.n * (1.0 + self.b * (f - self.f0_ghz) / self.f0_ghz)
-        return friis_db(f, REFERENCE_DISTANCE_M) + 10.0 * slope * np.log10(d)
+        return friis_db(f, MIN_DISTANCE_M) + 10.0 * slope * np.log10(d)
 
+
+# the directly fitted families by name
+PARAMS_CLASSES = {cls.family: cls for cls in (CiParams, FiParams, AbgParams, CifParams)}
 
 # the families that may carry a cross-polarization extension
 CoPolarizedParams = Union[CiParams, AbgParams, CifParams]
 XPD_BASE_FAMILIES = tuple(cls.family for cls in get_args(CoPolarizedParams))
 
+MODEL_FAMILIES = (*PARAMS_CLASSES, *(base + "X" for base in XPD_BASE_FAMILIES))
+
+# the fit plans in table order: per frequency (tables 3, 4), pooled (tables 5, 6)
+PER_FREQUENCY_FAMILIES = ("CI", "FI")
+POOLED_FAMILIES = ("CI", "CIF", "ABG")
+
 
 @dataclass(frozen=True)
-class XpdExtension:
+class XpdExtension(_Params):
     """Constant cross-polarization offset over a frozen co-polarized base.
 
     The base parameters are taken as-is; only the offset and the residual
@@ -156,9 +162,10 @@ class XpdExtension:
     sigma_db: float
 
     def __post_init__(self):
-        _check_sigma(self.sigma_db)
+        super().__post_init__()
         if not isinstance(self.base, CoPolarizedParams):
-            raise ValueError("XPD extension requires a CI, ABG, or CIF base")
+            raise ValueError(f"XPD extension requires a {', '.join(XPD_BASE_FAMILIES[:-1])}, "
+                             f"or {XPD_BASE_FAMILIES[-1]} base")
 
     @property
     def family(self) -> str:
@@ -169,8 +176,6 @@ class XpdExtension:
 
 
 PathLossModel = Union[CiParams, FiParams, AbgParams, CifParams, XpdExtension]
-
-MODEL_FAMILIES = ("CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX")
 
 
 def _grid(model: PathLossModel, frequency_ghz, distance_m):
@@ -199,18 +204,6 @@ def _check_points(model: PathLossModel, f, d, mean=None) -> None:
             raise DomainError(message)
     raise NumericalError(f"predict: non-finite {model.family} mean path loss, "
                          "the inputs overflow float64")
-
-
-def mean_path_loss_db(self: PathLossModel, frequency_ghz, distance_m):
-    """Mean path loss in dB, the method of every parameter class: predict's
-    DomainErrors, but a mean that overflows float64 is returned as is."""
-    f, d = _grid(self, frequency_ghz, distance_m)
-    _check_points(self, f, d)
-    return self._mean_db(f, d)
-
-
-for _cls in (CiParams, FiParams, AbgParams, CifParams, XpdExtension):
-    _cls.mean_path_loss_db = mean_path_loss_db
 
 
 def predict(model: PathLossModel, frequency_ghz, distance_m):

@@ -25,7 +25,7 @@ matches nothing.
 from __future__ import annotations
 
 from .errors import UsageError
-from .models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
+from .models import PARAMS_CLASSES, POOLED_FAMILIES, CiParams, FiParams, XpdExtension
 from .report import FitReport, FitRow
 from .taxonomy import (
     ENV_TOKENS,
@@ -194,18 +194,14 @@ def _table4_report() -> FitReport:
     return FitReport(tuple(rows))
 
 
-# the multi-frequency families in table order, with their parameter classes
-_MULTI_FREQ_FAMILIES = (("CI", CiParams), ("CIF", CifParams), ("ABG", AbgParams))
-
-
 def _multi_freq_report(table: str, blocks: dict, pol: PolarizationClass) -> FitReport:
     """One block of rows per (env, layout) in table order; a family with an
     XPD extension in the block gets its V-H row right after its base row."""
     rows = []
     for (env, layout), fams in blocks.items():
         key, vh = ScenarioKey(env, layout, pol), ScenarioKey(env, layout, _P.VH)
-        for family, params_cls in _MULTI_FREQ_FAMILIES:
-            base = params_cls(*fams[family])
+        for family in POOLED_FAMILIES:
+            base = PARAMS_CLASSES[family](*fams[family])
             rows.append(FitRow(family, key, base, source=f"{table}:{key.label()}"))
             if family + "X" in fams:
                 ext = XpdExtension(base, *fams[family + "X"])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
-from .models import AbgParams, CifParams, CiParams, XpdExtension
+from .models import POOLED_FAMILIES, AbgParams, CifParams, CiParams, XpdExtension
 from .numformat import format_fixed
 from .taxonomy import LABELS, PolarizationClass, ScenarioKey, ordered_pairs
 
@@ -232,15 +232,9 @@ def _family_param_cells(params) -> list[str]:
 
 
 def _table5_body(grid: _Grid) -> list[list[str]]:
-    order = (
-        ("CI", PolarizationClass.VV),
-        ("CIX", PolarizationClass.VH),
-        ("CIF", PolarizationClass.VV),
-        ("CIFX", PolarizationClass.VH),
-        ("ABG", PolarizationClass.VV),
-        ("ABGX", PolarizationClass.VH),
-    )
-    body = []
+    body, vv, vh = [], PolarizationClass.VV, PolarizationClass.VH
+    # each pooled family's V-V row, then its XPD extension's V-H row
+    order = [pair for base in POOLED_FAMILIES for pair in ((base, vv), (base + "X", vh))]
     for env, layout in grid.pairs:
         for family, pol in order:
             row = grid.first(family, env, layout, pol, None)
@@ -257,7 +251,7 @@ def _table5_body(grid: _Grid) -> list[list[str]]:
 
 def _table6_body(grid: _Grid) -> list[list[str]]:
     body, combined = [], PolarizationClass.COMBINED
-    for family in ("CI", "CIF", "ABG"):
+    for family in POOLED_FAMILIES:
         for env, layout in grid.pairs:
             row = grid.first(family, env, layout, combined, None)
             if row is None:

@@ -280,12 +280,13 @@ class Dataset:
         return dataset
 
     def _assign(self, provenance: str, *columns) -> None:
+        # checked first, so a refused call leaves the caller's arrays writeable
+        if len({len(values) for values in columns}) != 1:
+            raise ValueError("Dataset columns differ in length")
         for (name, dtype), values in zip(_COLUMN_DTYPES.items(), columns):
             column = np.asarray(values, dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if len({len(values) for values in columns}) != 1:
-            raise ValueError("Dataset columns differ in length")
         object.__setattr__(self, "provenance", provenance)
 
     def __setattr__(self, name, value):

@@ -279,6 +279,10 @@ class TestExitCodes:
         assert main(["predict", "--preset", "table3:28", "--model", "XX",
                      "--d", "10"]) == 2
         assert "usage error" in capsys.readouterr().err
+        assert main(["predict", "--preset", "table3:28", "--model", "XYZ",
+                     "--d", "10"]) == 2
+        assert ("unknown model family 'XYZ'; choose from "
+                "('CI', 'FI', 'ABG', 'CIF', 'CIX', 'ABGX', 'CIFX')") in capsys.readouterr().err
 
     def test_missing_frequency_for_ci_is_usage(self, capsys):
         assert main(["predict", "--preset", "table3:28:VV:LOS:CO",

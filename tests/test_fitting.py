@@ -372,6 +372,9 @@ class TestFitXpd:
         cross = Dataset((mk(28.0, 10.0, 80.0, Polarization.VH),))
         with pytest.raises(DataError):
             fit_xpd(FiParams(50.0, 2.0, 1.0), cross)
+        with pytest.raises(DataError,
+                           match="^fit_xpd: base must be a fitted CI, ABG, or CIF model$"):
+            fit_xpd(FiParams(50.0, 2.0, 1.0), cross)
 
     def test_empty_cross_dataset(self):
         with pytest.raises(DataError, match="empty"):

@@ -167,20 +167,46 @@ class TestParameterValidation:
             CiParams(ple_n=2.0, sigma_db=-0.1)
         with pytest.raises(ValueError):
             FiParams(alpha_db=50.0, beta_slope=2.0, sigma_db=-1.0)
+        # the sigma check runs first in every class, before its own checks
+        for build in (lambda s: CiParams(2.0, s, d0_m=3.0),
+                      lambda s: FiParams(50.0, 2.0, s),
+                      lambda s: AbgParams(2.0, 30.0, 2.0, s, d0_m=0.5),
+                      lambda s: CifParams(2.0, 0.1, 0.0, s, d0_m=3.0),
+                      lambda s: XpdExtension(FiParams(50.0, 2.0, 1.0), 10.0, s)):
+            for sigma in (-0.1, float("nan"), float("inf")):
+                with pytest.raises(ValueError,
+                                   match="^sigma_db must be finite and non-negative$"):
+                    build(sigma)
 
     def test_reference_distance_is_fixed(self):
         with pytest.raises(ValueError):
             CiParams(ple_n=2.0, sigma_db=0.0, d0_m=3.0)
         with pytest.raises(ValueError):
             AbgParams(2.0, 30.0, 2.0, 0.0, d0_m=0.5)
+        # CIF checks its reference distance before its reference frequency
+        for build in (lambda d0: CiParams(2.0, 0.0, d0_m=d0),
+                      lambda d0: AbgParams(2.0, 30.0, 2.0, 0.0, d0_m=d0),
+                      lambda d0: CifParams(2.0, 0.1, 0.0, 0.0, d0_m=d0)):
+            for d0 in (3.0, 0.5, float("nan")):
+                with pytest.raises(ValueError, match="^reference distance is fixed at 1 m$"):
+                    build(d0)
+        assert CiParams(2.0, 0.0, d0_m=1).d0_m == 1
 
     def test_cif_needs_positive_reference_frequency(self):
         with pytest.raises(ValueError):
             CifParams(n=2.0, b=0.1, f0_ghz=0.0, sigma_db=0.0)
+        for f0 in (0.0, -51.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^f0_ghz must be finite and positive$"):
+                CifParams(n=2.0, b=0.1, f0_ghz=f0, sigma_db=0.0)
 
     def test_xpd_base_must_be_co_polarized_family(self):
         with pytest.raises(ValueError):
             XpdExtension(base=FiParams(50.0, 2.0, 1.0), xpd_db=10.0, sigma_db=1.0)
+        ext = XpdExtension(CiParams(2.0, 0.0), 10.0, 0.0)
+        for base in (FiParams(50.0, 2.0, 1.0), ext, None):
+            with pytest.raises(ValueError,
+                               match="^XPD extension requires a CI, ABG, or CIF base$"):
+                XpdExtension(base=base, xpd_db=10.0, sigma_db=1.0)
 
     def test_family_labels(self):
         assert CiParams(2.0, 0.0).family == "CI"

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from mmwpl import cli, presets
@@ -205,6 +206,17 @@ class TestDataset:
         assert ds != Dataset((sample(), sample(freq=73.0)), provenance="other")
         assert copy.deepcopy(ds) == ds
         assert pickle.loads(pickle.dumps(ds)) == ds
+
+    def test_from_columns_refuses_ragged_columns_before_taking_any(self):
+        freq, dist, pl = np.array([28.0, 73.0]), np.array([4.0, 8.0]), np.array([70.0])
+        codes, ids = np.zeros(2, dtype=np.int8), np.array([None, None], dtype=object)
+        with pytest.raises(ValueError, match="^Dataset columns differ in length$"):
+            Dataset.from_columns(freq, dist, pl, codes, codes, codes, ids, ids)
+        assert all(column.flags.writeable for column in (freq, dist, pl, codes, ids))
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        assert (Dataset(()) == 1) is False
+        assert Dataset(()).__eq__(1) is NotImplemented
 
     def test_ensure_fit_ready_rejects_empty(self):
         with pytest.raises(DataError, match="empty"):
