@@ -101,12 +101,15 @@ def write_text(text: str, dest: Source) -> None:
         stream.write(text)
 
 
+def _unknown_token(token: str, enum_cls, what: str) -> str:
+    return f"unknown {what} token {token!r} (expected {'/'.join(m.value for m in enum_cls)})"
+
+
 def _enum_of(token: str, enum_cls, what: str):
     try:
         return enum_cls(token)
     except ValueError:
-        valid = "/".join(m.value for m in enum_cls)
-        raise ValueError(f"unknown {what} token {token!r} (expected {valid})") from None
+        raise ValueError(_unknown_token(token, enum_cls, what)) from None
 
 
 # lines or rows parsed per step: large enough for numpy to pay off, small
@@ -121,19 +124,19 @@ _TOKEN_COLUMNS = (
 )
 
 
-def _floats(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Parse cells with float(); a cell it rejects reads as NaN and is flagged."""
+def _floats(cells) -> tuple[np.ndarray, dict[int, str]]:
+    """Parse cells with float(); a rejected cell reads as NaN and maps to float()'s error text."""
     n = len(cells)
     try:
-        return np.fromiter(map(float, cells), float, n), np.zeros(n, bool)
+        return np.fromiter(map(float, cells), float, n), {}
     except ValueError:
-        values, bad = np.empty(n), np.zeros(n, bool)
+        values, errors = np.empty(n), {}
         for i, cell in enumerate(cells):
             try:
                 values[i] = float(cell)
-            except ValueError:
-                values[i], bad[i] = np.nan, True
-        return values, bad
+            except ValueError as exc:
+                values[i], errors[i] = np.nan, str(exc)
+        return values, errors
 
 
 def _mapped(cells, memo: dict, convert, dtype) -> np.ndarray:
@@ -161,18 +164,18 @@ def _blank(raw: list[str]) -> bool:
     return not any(cell.strip() for cell in raw)
 
 
-def _row_problem(raw: list[str], at: dict[str, int]) -> str:
-    """Why one full-width row was rejected: its first failing check."""
-    try:
-        values = [float(raw[at[c]]) for c in _NUMERIC_COLUMNS]
-    except ValueError as exc:
-        return f"unparseable numeric: {exc}"
-    for column, enum_cls in _TOKEN_COLUMNS:
-        try:
-            _enum_of(raw[at[column]].strip(), enum_cls, column)
-        except ValueError as exc:
-            return str(exc)
-    return "; ".join(sample_violations(*(np.array([v]) for v in values))[0])
+def _reason(j: int, raw: list[str], at: dict[str, int], floats, codes, violations) -> str:
+    """Why _parse_chunk rejects row j, built from its check results: the
+    first unparseable number (freq, distance, path loss), else the first
+    unknown token (polarization, environment, layout), else every sample
+    rule the row breaks, joined by "; "."""
+    for _, errors in floats:
+        if j in errors:
+            return f"unparseable numeric: {errors[j]}"
+    for (column, enum_cls), code in zip(_TOKEN_COLUMNS, codes):
+        if code[j] < 0:
+            return _unknown_token(raw[at[column]].strip(), enum_cls, column)
+    return "; ".join(violations[j])
 
 
 def _parse_chunk(cells: list, numbers: np.ndarray, rejected: list[SkippedRow],
@@ -182,20 +185,21 @@ def _parse_chunk(cells: list, numbers: np.ndarray, rejected: list[SkippedRow],
     numbers holds each row's 1-based row number and rejected the rows
     already turned away for their field count. Returns the columns of the
     rows that pass every check, and every rejected row as SkippedRow in row
-    order. Blank rows are dropped silently. Checks run vectorized; only a
-    rejected row gets its message built.
+    order. Blank rows are dropped silently. Each check runs once, vectorized
+    over the chunk, and _reason names a rejected row from its results.
     """
     floats = [_floats(cells[at[column]]) for column in _NUMERIC_COLUMNS]
     freq, dist, pl = (values for values, _ in floats)
     codes = [_mapped(cells[at[column]], memos.setdefault(column, {}), _code_of(enum_cls), np.int8)
              for column, enum_cls in _TOKEN_COLUMNS]
-    bad = np.logical_or.reduce([unparsed for _, unparsed in floats] + [c < 0 for c in codes])
-    bad[list(sample_violations(freq, dist, pl))] = True
+    violations = sample_violations(freq, dist, pl)
+    bad = np.logical_or.reduce([c < 0 for c in codes])
+    bad[list(chain(violations, *(errors for _, errors in floats)))] = True
     found = []
     for j in np.flatnonzero(bad).tolist():
         raw = [column[j] for column in cells]
         if not _blank(raw):
-            found.append(SkippedRow(int(numbers[j]), _row_problem(raw, at)))
+            found.append(SkippedRow(int(numbers[j]), _reason(j, raw, at, floats, codes, violations)))
     keep = ~bad
     n = int(keep.sum())
     labels = memos.setdefault("labels", {})

@@ -424,13 +424,26 @@ def plain_rows(rng, header, n):
     return list(map(",".join, zip(*picks)))
 
 
+# cells that break one check each: numeric parse, token or sample rule
+CELL_FAULTS = {"freq_ghz": ["ten", "", "-3", "nan"], "distance_m": ["x", "0.5", "inf", "1e400"],
+               "path_loss_db": ["1_0x", "-3", "0"], "polarization": ["HH", "vv"],
+               "environment": ["NLoS", ""], "layout": ["x"]}
+
+
 @st.composite
 def odd_lines(draw, header):
     """A line that read_csv must skip, turn away, or hand to csv.reader."""
     cells = [PLAIN_CELLS[h] for h in header]
     column = draw(st.integers(0, len(header) - 1))
-    kind = draw(st.sampled_from(["blank", "short", "long", "cell", "quoted", "crlf",
+    kind = draw(st.sampled_from(["blank", "short", "long", "cell", "cells", "quoted", "crlf",
                                  "cr", "nul", "over limit"]))
+    if kind == "cells":
+        # two or three broken cells: the first failing check in check order,
+        # not the first broken column, names the row
+        for name in draw(st.lists(st.sampled_from(list(CELL_FAULTS)), min_size=2, max_size=3,
+                                  unique=True)):
+            cells[header.index(name)] = draw(st.sampled_from(CELL_FAULTS[name]))
+        return ",".join(cells)
     if kind == "blank":
         return draw(st.sampled_from(["", " ", " \t "]))
     if kind == "short":
@@ -441,7 +454,9 @@ def odd_lines(draw, header):
         return ",".join(cells) + "\r"
     if kind == "cell":
         cells[column] = draw(st.sampled_from(
-            ["ten", "", " 28 ", "1_0", "nan", "inf", "-3", "0.5", "1e400", "HH", "vv", "x"]))
+            ["ten", "", " 28 ", "1_0", "nan", "inf", "-3", "0.5", "1e400", "HH", "vv", "x",
+             # float() reads any Unicode decimal digits, and so does read_csv
+             "２８", "٣"]))
     elif kind == "quoted":
         cells[column] = draw(st.sampled_from(
             ['"a,b"', '"say ""hi"""', '"x\ny"', '"x\r\ny"', '"TX1"', '""', 'a"b']))
@@ -486,6 +501,24 @@ class TestCsvReaderProperties:
             got = read_outcome(read_columns, io.StringIO(text), mode)
             want = read_outcome(reference_read_csv, io.StringIO(text), mode)
         assert first_difference(got, want) is None
+
+    @pytest.mark.parametrize("mode", ["strict", "lax"])
+    @pytest.mark.parametrize("faults", [
+        [("distance_m", "ten")], [("environment", "NLoS")], [("distance_m", "0.5")],
+        [("distance_m", "ten"), ("environment", "NLoS"), ("distance_m", "0.5")],
+    ])
+    def test_every_row_rejected(self, faults, mode):
+        # 4097 rows span two chunks, and no row of either is kept
+        lines = []
+        for i in range(4097):
+            column, cell = faults[i % len(faults)]
+            lines.append(",".join(cell if h == column else PLAIN_CELLS[h] for h in CSV_COLUMNS))
+        text = HEADER + "\n" + "\n".join(lines) + "\n"
+        got = read_outcome(read_columns, io.StringIO(text), mode)
+        want = read_outcome(reference_read_csv, io.StringIO(text), mode)
+        assert first_difference(got, want) is None
+        if mode == "lax":
+            assert len(read_text(text, mode)[1]) == 4097
 
 
 def demo_report():
