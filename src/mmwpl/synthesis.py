@@ -52,7 +52,9 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     concrete polarization (VV or VH): samples always carry a single
     polarization, so the Combined class cannot be synthesized directly.
     Each block's sample count must be a positive integer whose float64
-    block numpy can size (DataError, raised before any draw).
+    block numpy can size, and the total must be allocatable (DataError,
+    raised before any draw): the columns, about 43 bytes per sample, are
+    allocated once, and only one block's temporaries are held on top.
     The block frequencies and the ends of the distance range must satisfy
     taxonomy.POINT_RULES (DomainError); a drawn distance or mean that
     overflows float64 raises NumericalError. A drawn sample that breaks the
@@ -86,25 +88,28 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     if d_hi < d_lo:
         raise DomainError("synthesize: empty distance range")
 
+    counts = [int(count) for _, count in spec.frequencies]
+    n = sum(counts)
+    try:
+        freq, dist, pl = np.empty(n), np.empty(n), np.empty(n)
+    except (MemoryError, ValueError):  # ValueError: the byte size overflows intp
+        raise DataError(f"synthesize: cannot allocate {n} samples") from None
     rng = np.random.default_rng(spec.seed)
     sigma = spec.model.sigma_db
-    freqs, distances, losses = [], [], []
-    for f_ghz, count in spec.frequencies:
-        count = int(count)
+    stop = 0
+    for f_ghz, count in zip(block_freqs.tolist(), counts):
+        block = slice(stop, stop + count)
+        stop += count
+        freq[block] = f_ghz
         with np.errstate(over="ignore"):  # reported just below
-            block = 10.0 ** rng.uniform(math.log10(d_lo), math.log10(d_hi), count)
-        if not np.isfinite(block).all():
+            np.power(10.0, rng.uniform(math.log10(d_lo), math.log10(d_hi), count), out=dist[block])
+        if not np.isfinite(dist[block]).all():
             raise NumericalError("synthesize: drawn distance overflows float64")
-        mean = predict(spec.model, float(f_ghz), block)
-        fading = rng.normal(0.0, sigma, count) if sigma > 0.0 else np.zeros(count)
-        freqs.append(np.full(count, float(f_ghz)))
-        distances.append(block)
-        losses.append(np.asarray(mean, dtype=float) + fading)
-    n = sum(map(len, freqs))
+        pl[block] = predict(spec.model, f_ghz, dist[block])
+        if sigma > 0.0:
+            pl[block] += rng.normal(0.0, sigma, count)
     dataset = Dataset.from_columns(
-        np.concatenate(freqs),
-        np.concatenate(distances),
-        np.concatenate(losses),
+        freq, dist, pl,
         np.full(n, CODE[polarization], np.int8),
         np.full(n, CODE[spec.scenario.environment], np.int8),
         np.full(n, CODE[spec.scenario.layout], np.int8),
@@ -112,7 +117,5 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
         np.full(n, None, object),
         provenance=f"synth(seed={spec.seed})",
     )
-    # the dataset holds copies of the blocks: free them before the check
-    del freqs, distances, losses
     ensure_fit_ready(dataset, "synthesize")
     return dataset

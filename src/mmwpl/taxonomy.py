@@ -86,10 +86,11 @@ POINT_RULES = (
     ("distance below the 1 m reference", lambda f, d: np.isfinite(d) & (d < MIN_DISTANCE_M)),
 )
 
-# The rules on a sample's path loss, reported after the point rules.
-_PATH_LOSS_RULES = (
-    ("path loss must be finite", lambda pl: ~np.isfinite(pl)),
-    ("path loss must be positive", lambda pl: np.isfinite(pl) & (pl <= 0)),
+# Every sample rule over (f, d, pl), in report order: the point rules, then path loss.
+_SAMPLE_RULES = (
+    *((message, lambda f, d, pl, rule=rule: rule(f, d)) for message, rule in POINT_RULES),
+    ("path loss must be finite", lambda f, d, pl: ~np.isfinite(pl)),
+    ("path loss must be positive", lambda f, d, pl: np.isfinite(pl) & (pl <= 0)),
 )
 
 
@@ -98,14 +99,16 @@ def sample_violations(f: np.ndarray, d: np.ndarray, pl: np.ndarray) -> dict[int,
 
     Maps the index of each sample that breaks an invariant, ascending, to
     its violation messages in rule order; samples that pass are absent.
-    This one rule set serves validate_sample, ensure_fit_ready and read_csv.
+    One in-place mask marks the bad samples, and the rules run again on those
+    rows alone to name them. It serves validate_sample, ensure_fit_ready and read_csv.
     """
-    rules = [(message, rule(f, d)) for message, rule in POINT_RULES]
-    rules += [(message, rule(pl)) for message, rule in _PATH_LOSS_RULES]
-    return {
-        int(i): [message for message, mask in rules if mask[i]]
-        for i in np.flatnonzero(np.logical_or.reduce([mask for _, mask in rules]))
-    }
+    bad = np.zeros(len(pl), bool)
+    for _, rule in _SAMPLE_RULES:
+        bad |= rule(f, d, pl)
+    index = np.flatnonzero(bad)
+    rows = (f[index], d[index], pl[index])
+    named = [(message, rule(*rows).tolist()) for message, rule in _SAMPLE_RULES]
+    return {i: [message for message, mask in named if mask[k]] for k, i in enumerate(index.tolist())}
 
 
 def validate_sample(sample: PathLossSample) -> list[str]:

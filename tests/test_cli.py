@@ -713,6 +713,17 @@ class TestHugeValues:
         assert (code, out, err, caught) == (
             3, "", f"data error: synthesize: bad sample count {count}\n", [])
 
+    # each block passes the per-block guard, but numpy cannot allocate the
+    # total's columns, and refuses at once, touching no memory
+    @pytest.mark.parametrize("freqs, total", [(f"28:{10**15}", 10**15),
+                                              (f"28:{2**59},73:{2**59}", 2**60)])
+    def test_unallocatable_synth_total_is_data(self, freqs, total):
+        code, out, err, caught = run_main(["synth", "--preset", "table5:nlos-cp",
+                                           "--model", "CIF", "--scenario", "NLOS:CP:VV",
+                                           "--freqs", freqs])
+        assert (code, out, err, caught) == (
+            3, "", f"data error: synthesize: cannot allocate {total} samples\n", [])
+
 
 class TestParamsDocumentShape:
     @pytest.mark.parametrize("rows, message", [

@@ -1,14 +1,20 @@
 """Seeded dataset generation: determinism, statistics, validation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl.errors import DataError, DomainError
 from mmwpl.fitting import fit_ci
 from mmwpl.freespace import fspl_db
-from mmwpl.models import CiParams, FiParams
+from mmwpl.models import AbgParams, CiParams, CifParams, FiParams, XpdExtension, predict
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
+    CODE,
     Environment,
     Layout,
     Polarization,
@@ -150,3 +156,98 @@ def test_rejects_draws_that_break_the_sample_invariants(freq):
 def test_rejects_bad_seeds(seed):
     with pytest.raises(DataError, match="seed"):
         synthesize(spec(CiParams(2.0, 1.0), seed=seed))
+
+
+# totals whose float64 columns no address space holds, though every block
+# passes the per-block guard: numpy refuses them at once, touching no memory.
+# Totals that could actually be allocated are left untested, as above.
+@pytest.mark.parametrize("freqs", [((28.0, 10**15),), ((28.0, 2**59), (73.0, 2**59))])
+def test_rejects_totals_numpy_cannot_allocate(freqs, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("synthesize drew before refusing the total")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    total = sum(count for _, count in freqs)
+    with pytest.raises(DataError, match=f"^synthesize: cannot allocate {total} samples$"):
+        synthesize(spec(CiParams(2.0, 1.0), freqs=freqs))
+
+
+COLUMNS = ("freq", "dist", "pl", "pol", "env", "layout", "tx_id", "rx_id")
+
+
+def per_block_reference(s):
+    """The columns as drawn one block at a time into separate arrays, then
+    concatenated: the algorithm synthesize's in-place fill must reproduce."""
+    rng = np.random.default_rng(s.seed)
+    d_lo, d_hi = s.distance_range_m
+    freqs, distances, losses = [], [], []
+    for f_ghz, count in s.frequencies:
+        block = 10.0 ** rng.uniform(math.log10(d_lo), math.log10(d_hi), count)
+        mean = predict(s.model, float(f_ghz), block)
+        sigma = s.model.sigma_db
+        fading = rng.normal(0.0, sigma, count) if sigma > 0.0 else np.zeros(count)
+        freqs.append(np.full(count, float(f_ghz)))
+        distances.append(block)
+        losses.append(mean + fading)
+    n = sum(count for _, count in s.frequencies)
+    pol = CODE[Polarization(s.scenario.polarization_class.value)]
+    return dict(zip(COLUMNS, (
+        np.concatenate(freqs), np.concatenate(distances), np.concatenate(losses),
+        np.full(n, pol, np.int8),
+        np.full(n, CODE[s.scenario.environment], np.int8),
+        np.full(n, CODE[s.scenario.layout], np.int8),
+        np.full(n, None, object), np.full(n, None, object))))
+
+
+def family_models(sigma):
+    """One model of every fitted family, and an XPD row, with shadow fading sigma.
+    Every mean is above 61 dB, so with sigma at most 8 dB a non-positive loss
+    takes a 7.6-sigma draw."""
+    ci = CiParams(2.4, sigma)
+    return [ci, FiParams(70.0, 2.1, sigma), AbgParams(2.0, 30.0, 2.2, sigma),
+            CifParams(3.0, 0.2, 50.5, sigma), XpdExtension(ci, 20.0, sigma)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.lists(st.integers(1, 50), min_size=1, max_size=4),
+       ghz=st.lists(st.sampled_from([28.0, 73.0, 39.0, 60.0]), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32), family=st.integers(0, 4),
+       sigma=st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
+       d=st.sampled_from([(3.9, 45.9), (1.0, 1.0), (1.0, 1e3)]),
+       pol=st.sampled_from([PolarizationClass.VV, PolarizationClass.VH]))
+def test_in_place_fill_is_bit_identical_to_per_block_draws(counts, ghz, seed, family,
+                                                             sigma, d, pol):
+    s = spec(family_models(sigma)[family], freqs=zip(ghz, counts), d=d, seed=seed,
+             scenario=ScenarioKey(Environment.LOS, Layout.OPEN_PLAN, pol))
+    ds, expected = synthesize(s), per_block_reference(s)
+    assert ds.provenance == f"synth(seed={seed})"
+    for name in COLUMNS:
+        column = getattr(ds, name)
+        assert column.dtype == expected[name].dtype, name
+        assert np.array_equal(column, expected[name]), name
+        if column.dtype != object:
+            assert column.tobytes() == expected[name].tobytes(), name
+
+
+# The returned columns take 43 bytes a sample (three float64, three int8, two
+# object pointers); one block's temporaries may ride on top, never a second
+# copy of the columns. tracemalloc sees numpy's buffers.
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_peak_memory_stays_near_the_returned_columns(blocks):
+    s = spec(CifParams(3.0, 0.1, 50.5, 8.0),
+             freqs=[(f, 20000 // blocks) for f in (28.0, 73.0, 28.0, 73.0)[:blocks]])
+    synthesize(s)  # warm-up, so one-off allocations of a first call are not counted
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ds = synthesize(s)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    columns = sum(getattr(ds, name).nbytes for name in COLUMNS)
+    assert columns == 43 * 20000
+    assert peak <= 1.3 * columns

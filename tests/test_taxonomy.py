@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl import cli, presets
 from mmwpl.errors import DataError, UsageError
@@ -29,6 +31,7 @@ from mmwpl.taxonomy import (
     ordered_pairs,
     parse_scenario,
     partition_by_scenario,
+    sample_violations,
     validate_sample,
 )
 
@@ -67,6 +70,59 @@ class TestValidateSample:
         tagged = sample(tx_id="TX2", rx_id="RX11")
         assert validate_sample(tagged) == []
         assert tagged.tx_id == "TX2"
+
+
+def stacked_mask_violations(f, d, pl):
+    """sample_violations as once written: every rule's full-length mask kept,
+    and the masks stacked to find the bad rows."""
+    rules = [
+        ("frequency must be finite and positive", ~(np.isfinite(f) & (f > 0))),
+        ("distance must be finite", ~np.isfinite(d)),
+        ("distance below the 1 m reference", np.isfinite(d) & (d < 1.0)),
+        ("path loss must be finite", ~np.isfinite(pl)),
+        ("path loss must be positive", np.isfinite(pl) & (pl <= 0)),
+    ]
+    return {
+        int(i): [message for message, mask in rules if mask[i]]
+        for i in np.flatnonzero(np.logical_or.reduce([mask for _, mask in rules]))
+    }
+
+
+MIXED_VALUES = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -3.0, 0.5, 1.0, 28.0, 72.0]
+
+
+class TestSampleViolations:
+    def check(self, f, d, pl):
+        columns = [np.array(c, dtype=float) for c in (f, d, pl)]
+        got, want = sample_violations(*columns), stacked_mask_violations(*columns)
+        assert list(got.items()) == list(want.items())  # key order, message order
+        assert all(type(i) is int for i in got)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40))
+    def test_matches_the_stacked_mask_reference(self, data, n):
+        f, d, pl = (data.draw(st.lists(st.sampled_from(MIXED_VALUES), min_size=n, max_size=n))
+                    for _ in range(3))
+        self.check(f, d, pl)
+
+    def test_empty_columns(self):
+        assert self.check([], [], []) == {}
+
+    @pytest.mark.parametrize("row", [(28.0, 10.0, 72.0), (-1.0, 0.5, 0.0),
+                                     (float("nan"), float("inf"), float("-inf"))])
+    def test_one_row(self, row):
+        self.check(*([v] for v in row))
+
+    def test_every_row_bad(self):
+        n = 7
+        got = self.check([0.0] * n, [0.5] * n, [-3.0] * n)
+        assert list(got) == list(range(n))
+        assert got[0] == ["frequency must be finite and positive",
+                          "distance below the 1 m reference", "path loss must be positive"]
+
+    def test_no_row_bad(self):
+        assert self.check([28.0, 73.0, 1e-9], [1.0, 45.9, 1e30], [1e-9, 90.0, 1e300]) == {}
 
 
 class TestMeasuredScenarios:
