@@ -14,7 +14,6 @@ kernel per family, so the arithmetic has one copy.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, NamedTuple, Optional
 
@@ -32,6 +31,8 @@ from .models import (
     CoPolarizedParams,
     FiParams,
     XpdExtension,
+    _overflow_checked,
+    _require_finite,
 )
 from .numformat import round_half_away
 from .report import FitReport, FitRow
@@ -96,27 +97,6 @@ def _rms(residuals: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(residuals * residuals)) / residuals.size)
 
 
-def _require_finite(where: str, **values: float) -> None:
-    """Refuse a fitted value (parameter, sigma or mean frequency) that overflowed."""
-    bad = [name for name, value in values.items() if not math.isfinite(value)]
-    if bad:
-        raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
-
-
-def _overflow_checked(estimator):
-    """Run an estimator with numpy's overflow and invalid-value warnings off.
-
-    Data near the float64 limit overflow in the estimator's sums, and
-    _require_finite reports the non-finite result as a NumericalError; the
-    warnings would only say the same on stderr first.
-    """
-    @functools.wraps(estimator)
-    def checked(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return estimator(*args, **kwargs)
-    return checked
-
-
 class _Terms(NamedTuple):
     """Sample columns plus the per-row terms the estimators share."""
 
@@ -136,6 +116,17 @@ class _Terms(NamedTuple):
         return _Terms(*(column[index] for column in self))
 
 
+def _require_spread(where: str, t: _Terms, *regressors: str) -> None:
+    """Refuse, in the order given, a frequency or distance regressor that
+    holds one value: its design column would be a multiple of an earlier one."""
+    for regressor in regressors:
+        column, what = ((t.f, "single-frequency dataset") if regressor == "frequency"
+                        else (t.d, "all samples at one distance"))
+        if not (column != column[0]).any():
+            raise SingularDesignError(f"{where}: {regressor} column degenerate, {what}",
+                                      regressor=regressor)
+
+
 def _ci(t: _Terms) -> CiParams:
     if not t.dec.any():
         raise SingularDesignError(
@@ -153,11 +144,7 @@ def _fi(t: _Terms) -> FiParams:
         raise DataError(
             "fit_fi: dataset spans multiple frequencies; use fit_abg or fit_cif"
         )
-    if not (t.d != t.d[0]).any():
-        raise SingularDesignError(
-            "fit_fi: distance column degenerate, all samples at one distance",
-            regressor="distance",
-        )
+    _require_spread("fit_fi", t, "distance")
     (alpha, beta), resid = _least_squares(
         (np.ones_like(t.dec), t.dec), t.pl, ("intercept", "distance")
     )
@@ -167,16 +154,7 @@ def _fi(t: _Terms) -> FiParams:
 
 
 def _abg(t: _Terms) -> AbgParams:
-    if not (t.f != t.f[0]).any():
-        raise SingularDesignError(
-            "fit_abg: frequency column degenerate, single-frequency dataset",
-            regressor="frequency",
-        )
-    if not (t.d != t.d[0]).any():
-        raise SingularDesignError(
-            "fit_abg: distance column degenerate, all samples at one distance",
-            regressor="distance",
-        )
+    _require_spread("fit_abg", t, "frequency", "distance")
     (beta, alpha, gamma), resid = _least_squares(
         (np.ones_like(t.dec), t.dec, t.fdec), t.pl, ("intercept", "distance", "frequency")
     )
@@ -198,11 +176,7 @@ def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
         f0 = float(f0_ghz)
         if not np.isfinite(f0) or f0 <= 0.0:
             raise DomainError("fit_cif: f0 must be finite and positive")
-    if not (t.f != t.f[0]).any():
-        raise SingularDesignError(
-            "fit_cif: frequency column degenerate, single-frequency dataset",
-            regressor="frequency",
-        )
+    _require_spread("fit_cif", t, "frequency")
     if f0 == 0.0:
         raise NumericalError(
             "fit_cif: reference frequency f0 rounds to 0 GHz, the mean frequency is below 0.5 GHz"

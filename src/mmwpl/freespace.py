@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 SPEED_OF_LIGHT_M_S = 299792458.0  # exact by SI definition
 
@@ -14,7 +14,9 @@ def fspl_db(frequency_ghz, distance_m=1.0):
     Hz. Accepts scalars or numpy arrays and broadcasts; scalar inputs give
     a plain float back.
 
-    Raises DomainError for non-positive or non-finite inputs.
+    Raises DomainError for non-positive or non-finite inputs, and
+    NumericalError where the Friis product of in-domain inputs overflows or
+    underflows float64, which would give an infinite loss.
     """
     f = np.asarray(frequency_ghz, dtype=float)
     d = np.asarray(distance_m, dtype=float)
@@ -22,7 +24,11 @@ def fspl_db(frequency_ghz, distance_m=1.0):
         raise DomainError("fspl_db: frequency must be finite and positive")
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise DomainError("fspl_db: distance must be finite and positive")
-    out = friis_db(f, d)
+    with np.errstate(all="ignore"):  # an infinite result is reported below
+        out = friis_db(f, d)
+    if not np.isfinite(out).all():
+        raise NumericalError("fspl_db: non-finite path loss, "
+                             "the Friis product overflows or underflows float64")
     if out.ndim == 0:
         return float(out)
     return out

@@ -178,6 +178,21 @@ class XpdExtension(_Params):
 PathLossModel = Union[CiParams, FiParams, AbgParams, CifParams, XpdExtension]
 
 
+def _require_finite(where: str, **values: float) -> None:
+    """Refuse a fitted value (parameter, sigma or mean frequency) that overflowed."""
+    bad = [name for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
+
+
+# The decorator of the estimators and residual_sigma: data near the float64
+# limit overflow in their sums, and _require_finite reports the non-finite
+# result, so numpy's warnings would only say the same on stderr first. numpy 2
+# sets and resets the state per call; numpy 1.x keeps the saved state on this
+# one instance, so no decorated function may call another.
+_overflow_checked = np.errstate(over="ignore", invalid="ignore")
+
+
 def _grid(model: PathLossModel, frequency_ghz, distance_m):
     """frequency_ghz and distance_m as float arrays; they broadcast to the grid."""
     if frequency_ghz is None:
@@ -225,14 +240,18 @@ def predict(model: PathLossModel, frequency_ghz, distance_m):
     return float(out) if out.ndim == 0 else out
 
 
+@_overflow_checked
 def residual_sigma(model: PathLossModel, dataset: Dataset) -> float:
     """Root-mean-square deviation in dB of a dataset from a model's mean.
 
     Population normalization (divide by N, not N-1): the minimum-SSE fits
     leave zero-mean residuals on their training data, and sqrt(SSE/N) is
     exactly the quantity they minimize, so this reproduces the sigma stored
-    at fit time when evaluated on the training set.
+    at fit time when evaluated on the training set. A sigma that overflows
+    float64 raises NumericalError.
     """
     f, d, pl = ensure_fit_ready(dataset, "residual_sigma")
     resid = pl - model.mean_path_loss_db(f, d)
-    return float(np.sqrt(np.mean(resid**2)))
+    sigma = float(np.sqrt(np.mean(resid**2)))
+    _require_finite("residual_sigma", sigma_db=sigma)
+    return sigma

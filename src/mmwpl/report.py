@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
-from .models import POOLED_FAMILIES, AbgParams, CifParams, CiParams, XpdExtension
+from .models import POOLED_FAMILIES, CifParams, CiParams, XpdExtension
 from .numformat import format_fixed
 from .taxonomy import LABELS, PolarizationClass, ScenarioKey, ordered_pairs
 
@@ -220,15 +220,14 @@ def _table4_body(grid: _Grid) -> list[list[str]]:
 
 def _family_param_cells(params) -> list[str]:
     """The three shared parameter columns (exponent, weighting/offset,
-    reference/frequency exponent) for a multi-frequency table row."""
+    reference/frequency exponent) for a multi-frequency table row: a
+    POOLED_FAMILIES fit or its XPD extension."""
     base = params.base if isinstance(params, XpdExtension) else params
     if isinstance(base, CiParams):
         return [_fmt(base.ple_n, 1), "-", "-"]
     if isinstance(base, CifParams):
         return [_fmt(base.n, 1), _fmt(base.b, 2), _fmt(base.f0_ghz, 0)]
-    if isinstance(base, AbgParams):
-        return [_fmt(base.alpha_dist, 1), _fmt(base.beta_db, 1), _fmt(base.gamma_freq, 1)]
-    return ["-", "-", "-"]
+    return [_fmt(base.alpha_dist, 1), _fmt(base.beta_db, 1), _fmt(base.gamma_freq, 1)]
 
 
 def _table5_body(grid: _Grid) -> list[list[str]]:

@@ -1,7 +1,9 @@
 """Estimator behavior: exact recovery, least-squares oracles, error paths."""
 
 import dataclasses
+import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -409,6 +411,50 @@ class TestNonFiniteResults:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="compute_f0: non-finite"):
                 compute_f0(ds)
+
+
+def losses_of(pl, freqs=(28.0, 73.0), pol=Polarization.VV):
+    return Dataset(tuple(mk(f, d, pl, pol) for f in freqs for d in (2.0, 5.0, 11.0, 30.0)))
+
+
+# each public estimator, its parameters, and a call whose arithmetic overflows
+OVERFLOWING_CALLS = {
+    "fit_ci": (fit_ci, ["dataset"], lambda: fit_ci(losses_of(1e308))),
+    "fit_fi": (fit_fi, ["dataset"], lambda: fit_fi(losses_of(1e308, (28.0,)))),
+    "fit_abg": (fit_abg, ["dataset"], lambda: fit_abg(losses_of(1e308))),
+    "fit_cif": (fit_cif, ["dataset", "f0_ghz"], lambda: fit_cif(losses_of(1e308))),
+    "fit_scenarios": (fit_scenarios, ["dataset", "selections", "families", "f0_ghz"],
+                      lambda: fit_scenarios(losses_of(1e308))),
+    "compute_f0": (compute_f0, ["dataset"],
+                   lambda: compute_f0(losses_of(80.0, (1.5e308, 1.6e308, 1.7e308)))),
+    "fit_xpd": (fit_xpd, ["base", "cross_dataset"],
+                lambda: fit_xpd(CifParams(-1e300, 1e10, 1e-300, 0.0),
+                                losses_of(80.0, pol=Polarization.VH))),
+}
+
+
+class TestNumpyErrorState:
+    """The estimators ignore numpy's overflow and invalid-value signals for
+    their own arithmetic only: whatever error state the caller set, overflow
+    is a NumericalError with no warning, and the caller's state is restored."""
+
+    @pytest.mark.parametrize("name", OVERFLOWING_CALLS)
+    def test_overflow_is_numerical_under_the_callers_raise_state(self, name):
+        _, _, call = OVERFLOWING_CALLS[name]
+        with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            caller = np.geterr()
+            with pytest.raises(NumericalError, match="non-finite"):
+                call()
+            assert np.geterr() == caller
+
+    @pytest.mark.parametrize("name", OVERFLOWING_CALLS)
+    def test_estimators_keep_their_name_doc_and_signature(self, name):
+        estimator, parameters, _ = OVERFLOWING_CALLS[name]
+        assert estimator.__name__ == name
+        assert estimator.__module__ == "mmwpl.fitting"
+        assert estimator.__doc__ and estimator.__doc__ == inspect.unwrap(estimator).__doc__
+        assert list(inspect.signature(estimator).parameters) == parameters
 
 
 class TestPerturbationOptimality:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwpl.errors import DomainError
+from mmwpl.errors import DomainError, NumericalError
 from mmwpl.freespace import SPEED_OF_LIGHT_M_S, fspl_db
 
 # oracle: 20*log10(4*pi*d*f/c) evaluated with the math module, frozen here
@@ -74,4 +74,12 @@ def test_monotone_in_frequency_and_distance():
                                        (28.0, float("inf"))])
 def test_rejects_out_of_domain(freq, dist):
     with pytest.raises(DomainError):
+        fspl_db(freq, dist)
+
+
+# in the domain, but 4*pi*d*f/c overflows to inf or underflows to 0 in float64
+@pytest.mark.parametrize("freq,dist", [(1e308, 1.0), (28.0, 1e300),
+                                       (1e-320, 1e-10), (1e-300, 1e-300)])
+def test_friis_product_out_of_float64_range_is_numerical(freq, dist):
+    with pytest.raises(NumericalError, match="^fspl_db: non-finite path loss"):
         fspl_db(freq, dist)

@@ -237,3 +237,12 @@ class TestResidualSigma:
         ds = Dataset((mk(28.0, 10.0, predict(model, None, 10.0)),
                       mk(28.0, 20.0, predict(model, None, 20.0) + 4.0)))
         assert residual_sigma(model, ds) == pytest.approx(np.sqrt(8.0), abs=1e-12)
+
+    @pytest.mark.parametrize("model,loss", [(CiParams(1e308, 1.0), 80.0),
+                                            (CiParams(2.0, 1.0), 1e308)],
+                             ids=["overflowing-mean", "overflowing-losses"])
+    def test_overflowing_sigma_is_numerical(self, model, loss):
+        ds = Dataset(tuple(mk(28.0, d, loss) for d in (2.0, 5.0, 12.0)))
+        with pytest.raises(NumericalError, match=r"^residual_sigma: non-finite sigma_db, "
+                                                 r"the data overflow float64$"):
+            residual_sigma(model, ds)

@@ -1,0 +1,43 @@
+"""README's examples run: its python blocks in order, in one namespace,
+then each of its `mmwpl` command lines through cli.main, in a directory
+holding a samples.csv of all 20 measured cells at 28 and 73 GHz, drawn the
+way tests/test_golden.py draws its inputs."""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import numpy as np
+
+from mmwpl.cli import main
+from test_golden import PAIRS, _cells, _write
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def fenced(language):
+    """The bodies of README's code blocks in one language, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, re.M | re.S)
+
+
+def command_lines():
+    """Every `mmwpl` line of README's sh blocks, backslash continuations joined."""
+    return [line for block in fenced("sh") for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("mmwpl ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cells = [(env, layout, pol, freq) for env, layout in PAIRS
+             for pol in ("VV", "VH") for freq in (28.0, 73.0)]
+    _write("samples.csv", _cells(np.random.default_rng(18), cells, 25))
+    blocks, lines = fenced("python"), command_lines()
+    assert len(blocks) == 2 and len(lines) == 8
+    namespace, stderr = {}, io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        failed = [(line, code) for line in lines if (code := main(shlex.split(line)[1:]))]
+    assert failed == [], stderr.getvalue()
