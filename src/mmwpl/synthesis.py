@@ -29,6 +29,10 @@ from .taxonomy import (
 
 DEFAULT_SEED = 0
 
+# samples drawn per step: large enough for numpy to pay off, small enough
+# that a step's temporaries stay small next to the columns
+_STEP = 2**14
+
 
 @dataclass(frozen=True)
 class SynthesisSpec:
@@ -53,8 +57,11 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     polarization, so the Combined class cannot be synthesized directly.
     Each block's sample count must be a positive integer whose float64
     block numpy can size, and the total must be allocatable (DataError,
-    raised before any draw): the columns, about 43 bytes per sample, are
-    allocated once, and only one block's temporaries are held on top.
+    raised before any draw): the three float columns, 24 bytes per sample,
+    are allocated once; the polarization, environment and layout codes and
+    the None labels are one shared value each, not a column per sample.
+    Each block is drawn in fixed steps, so only one step's temporaries are
+    held on top.
     The block frequencies and the ends of the distance range must satisfy
     taxonomy.POINT_RULES (DomainError); a drawn distance or mean that
     overflows float64 raises NumericalError. A drawn sample that breaks the
@@ -95,26 +102,29 @@ def synthesize(spec: SynthesisSpec) -> Dataset:
     except (MemoryError, ValueError):  # ValueError: the byte size overflows intp
         raise DataError(f"synthesize: cannot allocate {n} samples") from None
     rng = np.random.default_rng(spec.seed)
+    log_lo, log_hi = math.log10(d_lo), math.log10(d_hi)
     sigma = spec.model.sigma_db
     stop = 0
     for f_ghz, count in zip(block_freqs.tolist(), counts):
-        block = slice(stop, stop + count)
-        stop += count
-        freq[block] = f_ghz
-        with np.errstate(over="ignore"):  # reported just below
-            np.power(10.0, rng.uniform(math.log10(d_lo), math.log10(d_hi), count), out=dist[block])
-        if not np.isfinite(dist[block]).all():
-            raise NumericalError("synthesize: drawn distance overflows float64")
-        pl[block] = predict(spec.model, f_ghz, dist[block])
-        if sigma > 0.0:
-            pl[block] += rng.normal(0.0, sigma, count)
+        start, stop = stop, stop + count
+        freq[start:stop] = f_ghz
+        steps = [slice(i, min(i + _STEP, stop)) for i in range(start, stop, _STEP)]
+        # PCG64 gives the same stream drawn whole or in steps, so only the
+        # order matters: every distance of a block before its first fading
+        for step in steps:
+            with np.errstate(over="ignore"):  # reported just below
+                np.power(10.0, rng.uniform(log_lo, log_hi, step.stop - step.start),
+                         out=dist[step])
+            if not np.isfinite(dist[step]).all():
+                raise NumericalError("synthesize: drawn distance overflows float64")
+        for step in steps:
+            pl[step] = predict(spec.model, f_ghz, dist[step])
+            if sigma > 0.0:
+                pl[step] += rng.normal(0.0, sigma, step.stop - step.start)
     dataset = Dataset.from_columns(
         freq, dist, pl,
-        np.full(n, CODE[polarization], np.int8),
-        np.full(n, CODE[spec.scenario.environment], np.int8),
-        np.full(n, CODE[spec.scenario.layout], np.int8),
-        np.full(n, None, object),
-        np.full(n, None, object),
+        CODE[polarization], CODE[spec.scenario.environment], CODE[spec.scenario.layout],
+        None, None,
         provenance=f"synth(seed={spec.seed})",
     )
     ensure_fit_ready(dataset, "synthesize")

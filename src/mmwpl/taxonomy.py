@@ -251,7 +251,10 @@ class Dataset:
     member's index in POLARIZATIONS, ENVIRONMENTS and LAYOUTS); tx_id and
     rx_id (object, a label or None). Dataset(samples, provenance) builds the
     columns from PathLossSample rows; from_columns takes them ready-made.
-    Iteration and .samples give PathLossSample row views built on demand.
+    A column that holds one value for every sample may be a shared
+    read-only view of that one value (stride 0); its nbytes still counts
+    the logical size, one item per sample. Iteration and .samples give
+    PathLossSample row views built on demand.
     """
 
     __slots__ = (*_COLUMN_DTYPES, "provenance")
@@ -276,20 +279,32 @@ class Dataset:
         """Wrap ready-made columns without building row objects.
 
         Arrays that already have the column's dtype are taken over, not
-        copied, and become read-only.
+        copied, and become read-only. A 0-d column (a scalar) is one value
+        shared by every sample: it is kept once, as a read-only zero-stride
+        view with the other columns' length. At least one column must be 1-d.
         """
         dataset = cls.__new__(cls)
         dataset._assign(provenance, freq, dist, pl, pol, env, layout, tx_id, rx_id)
         return dataset
 
     def _assign(self, provenance: str, *columns) -> None:
+        arrays = [np.asarray(values, dtype=dtype)
+                  for dtype, values in zip(_COLUMN_DTYPES.values(), columns)]
         # checked first, so a refused call leaves the caller's arrays writeable
-        if len({len(values) for values in columns}) != 1:
+        if any(array.ndim > 1 for array in arrays):
+            raise ValueError("Dataset columns must be 1-d, or 0-d for a shared value")
+        lengths = {len(array) for array in arrays if array.ndim == 1}
+        if not lengths:
+            raise ValueError("Dataset needs at least one 1-d column")
+        if len(lengths) != 1:
             raise ValueError("Dataset columns differ in length")
-        for (name, dtype), values in zip(_COLUMN_DTYPES.items(), columns):
-            column = np.asarray(values, dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        n = lengths.pop()
+        for name, array in zip(_COLUMN_DTYPES, arrays):
+            if array.ndim == 0:
+                array = np.broadcast_to(array, (n,))  # read-only already
+            else:
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "provenance", provenance)
 
     def __setattr__(self, name, value):

@@ -1,6 +1,9 @@
 """Seeded dataset generation: determinism, statistics, validation."""
 
+import copy
+import io
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,18 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwpl.dataio import dumps_params, write_csv
 from mmwpl.errors import DataError, DomainError
-from mmwpl.fitting import fit_ci
+from mmwpl.fitting import fit_ci, fit_scenarios
 from mmwpl.freespace import fspl_db
 from mmwpl.models import AbgParams, CiParams, CifParams, FiParams, XpdExtension, predict
-from mmwpl.synthesis import SynthesisSpec, synthesize
+from mmwpl.synthesis import _STEP, SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
     CODE,
+    Dataset,
     Environment,
     Layout,
     Polarization,
     PolarizationClass,
     ScenarioKey,
+    partition_by_scenario,
 )
 
 NLOS_CP_VV = ScenarioKey(Environment.NLOS, Layout.CLOSED_PLAN, PolarizationClass.VV)
@@ -219,8 +225,12 @@ def test_in_place_fill_is_bit_identical_to_per_block_draws(counts, ghz, seed, fa
                                                              sigma, d, pol):
     s = spec(family_models(sigma)[family], freqs=zip(ghz, counts), d=d, seed=seed,
              scenario=ScenarioKey(Environment.LOS, Layout.OPEN_PLAN, pol))
+    assert_matches_per_block_draws(s)
+
+
+def assert_matches_per_block_draws(s):
     ds, expected = synthesize(s), per_block_reference(s)
-    assert ds.provenance == f"synth(seed={seed})"
+    assert ds.provenance == f"synth(seed={s.seed})"
     for name in COLUMNS:
         column = getattr(ds, name)
         assert column.dtype == expected[name].dtype, name
@@ -229,25 +239,96 @@ def test_in_place_fill_is_bit_identical_to_per_block_draws(counts, ghz, seed, fa
             assert column.tobytes() == expected[name].tobytes(), name
 
 
-# The returned columns take 43 bytes a sample (three float64, three int8, two
-# object pointers); one block's temporaries may ride on top, never a second
-# copy of the columns. tracemalloc sees numpy's buffers.
-@pytest.mark.parametrize("blocks", [1, 2, 4])
-def test_peak_memory_stays_near_the_returned_columns(blocks):
-    s = spec(CifParams(3.0, 0.1, 50.5, 8.0),
-             freqs=[(f, 20000 // blocks) for f in (28.0, 73.0, 28.0, 73.0)[:blocks]])
-    synthesize(s)  # warm-up, so one-off allocations of a first call are not counted
+# Blocks are drawn in steps of _STEP samples; a block one short of a step,
+# exactly one, one over, and two steps and a bit, alone or three in a row.
+@pytest.mark.parametrize("count", [_STEP - 1, _STEP, _STEP + 1, 2 * _STEP + 3])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("sigma", [0.0, 8.0])
+def test_draws_in_steps_are_bit_identical_to_per_block_draws(count, blocks, sigma):
+    freqs = [(f, count) for f in (28.0, 73.0, 39.0)[:blocks]]
+    assert_matches_per_block_draws(
+        spec(CifParams(3.0, 0.2, 50.5, sigma), freqs=freqs, seed=count + blocks))
+
+
+def filled_copy(ds):
+    """The dataset with every column a filled, writeable array of its own."""
+    return Dataset.from_columns(*(np.array(getattr(ds, name)) for name in COLUMNS),
+                                provenance=ds.provenance)
+
+
+SHARED = ("pol", "env", "layout", "tx_id", "rx_id")
+
+
+def test_shared_columns_behave_like_filled_ones():
+    key = ScenarioKey(Environment.LOS, Layout.OPEN_PLAN, PolarizationClass.VH)
+    ds = synthesize(spec(CifParams(3.0, 0.2, 50.5, 4.0), freqs=((28.0, 300), (73.0, 200)),
+                         scenario=key, seed=11))
+    filled = filled_copy(ds)
+    for name in SHARED:
+        assert getattr(ds, name).strides == (0,), name
+        assert not getattr(ds, name).flags.writeable, name
+        assert getattr(filled, name).strides != (0,), name
+    assert ds == filled
+    assert [getattr(ds, name).nbytes for name in COLUMNS] == [
+        getattr(filled, name).nbytes for name in COLUMNS]
+    texts = []
+    for dataset in (ds, filled):
+        stream = io.StringIO()
+        write_csv(dataset, stream)
+        texts.append(stream.getvalue())
+    assert texts[0] == texts[1]
+    assert dumps_params(fit_scenarios(ds)) == dumps_params(fit_scenarios(filled))
+    mask = np.arange(len(ds)) % 3 == 0
+    assert ds.select(mask, "x") == filled.select(mask, "x")
+    for k in (key, ScenarioKey(Environment.LOS, Layout.OPEN_PLAN, PolarizationClass.COMBINED),
+              ScenarioKey(Environment.NLOS, Layout.OPEN_PLAN, PolarizationClass.VH)):
+        assert partition_by_scenario(ds, k) == partition_by_scenario(filled, k)
+    assert list(ds) == list(filled)
+    assert pickle.loads(pickle.dumps(ds)) == ds
+    assert copy.deepcopy(ds) == ds
+
+
+def traced_peak(call, *args):
+    """Run call(*args) and return (its result, the bytes its run peaked at).
+
+    The peak is tracemalloc's, above what was already traced when the call
+    began; tracemalloc sees numpy's buffers. Call it once untraced first, so
+    the one-off allocations of a first call are not counted.
+    """
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ds = synthesize(s)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+# The returned columns take 43 bytes a sample as nbytes counts them (three
+# float64, three int8, two object pointers); one block's temporaries may ride
+# on top, never a second copy of the columns.
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_peak_memory_stays_near_the_returned_columns(blocks):
+    s = spec(CifParams(3.0, 0.1, 50.5, 8.0),
+             freqs=[(f, 20000 // blocks) for f in (28.0, 73.0, 28.0, 73.0)[:blocks]])
+    synthesize(s)  # warm-up, so one-off allocations of a first call are not counted
+    ds, peak = traced_peak(synthesize, s)
     columns = sum(getattr(ds, name).nbytes for name in COLUMNS)
     assert columns == 43 * 20000
     assert peak <= 1.3 * columns
+
+
+# One 2e5-sample block: the three float64 columns (24 bytes a sample, 4.8 MB)
+# plus one step's temporaries and the sample check's masks, never a second
+# copy of a column or a block-sized temporary.
+def test_peak_of_one_large_block_stays_near_its_float_columns():
+    s = spec(CifParams(3.0, 0.2, 50.0, 10.9), freqs=((28.0, 200_000),), seed=301)
+    synthesize(s)  # warm-up, as above
+    ds, peak = traced_peak(synthesize, s)
+    floats = sum(getattr(ds, name).nbytes for name in ("freq", "dist", "pl"))
+    assert floats == 24 * 200_000
+    assert peak <= 1.3 * floats

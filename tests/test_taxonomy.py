@@ -269,6 +269,29 @@ class TestDataset:
         with pytest.raises(ValueError, match="^Dataset columns differ in length$"):
             Dataset.from_columns(freq, dist, pl, codes, codes, codes, ids, ids)
         assert all(column.flags.writeable for column in (freq, dist, pl, codes, ids))
+        # a shared 0-d column does not make ragged 1-d ones acceptable
+        with pytest.raises(ValueError, match="^Dataset columns differ in length$"):
+            Dataset.from_columns(freq, dist, pl, 0, 0, 0, None, None)
+        assert all(column.flags.writeable for column in (freq, dist, pl))
+
+    def test_from_columns_shares_a_0d_column(self):
+        freq = np.array([28.0, 73.0, 28.0])
+        ds = Dataset.from_columns(freq, freq * 0.1, freq + 40.0, 1, np.int8(0), 2, None, "tx")
+        assert ds.pol.strides == ds.layout.strides == ds.tx_id.strides == (0,)
+        assert not ds.pol.flags.writeable and not ds.tx_id.flags.writeable
+        assert ds.pol.nbytes == 3 and ds.tx_id.nbytes == 3 * ds.tx_id.itemsize
+        assert [(s.polarization, s.environment, s.layout, s.tx_id, s.rx_id) for s in ds] == [
+            (Polarization.VH, Environment.LOS, Layout.CLOSED_PLAN, None, "tx")] * 3
+        empty = ds.select(np.zeros(3, bool), "none")
+        assert len(empty) == 0 and empty.pol.shape == (0,)
+
+    def test_from_columns_refuses_no_1d_column_and_2d_columns(self):
+        with pytest.raises(ValueError, match="^Dataset needs at least one 1-d column$"):
+            Dataset.from_columns(28.0, 4.0, 70.0, 0, 0, 0, None, None)
+        freq = np.array([[28.0, 73.0]])
+        with pytest.raises(ValueError, match="^Dataset columns must be 1-d"):
+            Dataset.from_columns(freq, freq, freq, 0, 0, 0, None, None)
+        assert freq.flags.writeable
 
     def test_equality_with_another_type_is_not_implemented(self):
         assert (Dataset(()) == 1) is False
