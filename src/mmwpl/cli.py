@@ -3,7 +3,7 @@
 Every command is deterministic: the same inputs (and, for synth, the same
 seed) produce byte-identical outputs. Errors exit with a class-specific
 code so scripts can tell misuse (2) from bad data (3) from numerically
-ill-posed fits (4).
+ill-posed fits (4); a reader that closes stdout early gives 141, silently.
 
 `main` builds its argparse parser on the first call and reuses it for every
 later call in the process; `build_parser()` returns a new parser each time,
@@ -13,6 +13,7 @@ for callers that extend it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _parse_freq_blocks(text: str) -> tuple[tuple[float, int], ...]:
@@ -299,7 +301,20 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed after the last write shows here
+        return status
+    except BrokenPipeError:
+        # the reader went away, the data is fine: say nothing, and send what
+        # is still buffered to os.devnull so that no flush fails at exit
+        try:
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        except (OSError, ValueError):  # a stdout without a file, or no os.devnull
+            pass
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

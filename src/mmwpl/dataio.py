@@ -520,7 +520,8 @@ def read_params_json(source: Source) -> FitReport:
             doc = json.load(stream)
         except UnicodeDecodeError as exc:
             raise _not_utf8("read_params_json", exc) from None
-        except ValueError as exc:  # a JSONDecodeError, or an integer over int's digit limit
+        # a JSONDecodeError, an integer over int's digit limit, or nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"read_params_json: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "rows" not in doc:
         raise DataError("read_params_json: not a parameter report document")

@@ -33,6 +33,7 @@ from .models import (
     XpdExtension,
     _overflow_checked,
     _require_finite,
+    _rms,
 )
 from .numformat import round_half_away
 from .report import FitReport, FitRow
@@ -90,11 +91,6 @@ def _least_squares(columns, y: np.ndarray, names: tuple[str, ...]) -> tuple[list
     for j in reversed(range(len(x))):
         x[j] -= sum(r[i][j] * x[i] for i in range(j + 1, len(x)))
     return [xj * scale for xj, (_, _, scale) in zip(x, basis)], y
-
-
-def _rms(residuals: np.ndarray) -> float:
-    # np.mean's own sum and division, without its per-call overhead
-    return math.sqrt(float(np.add.reduce(residuals * residuals)) / residuals.size)
 
 
 class _Terms(NamedTuple):

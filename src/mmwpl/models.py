@@ -14,9 +14,12 @@ Predictions are the mean path loss only; shadow fading is carried as the
 sigma_db attribute and applied by the synthesis module.
 
 Every class derives from _Params, which checks sigma_db and any d0_m (fixed
-at taxonomy.MIN_DISTANCE_M, 1 m) and gives mean_path_loss_db: like predict,
-it checks each point against taxonomy.POINT_RULES before the class's own
-unchecked _mean_db(f, d). The family tables and fit plans live here too.
+at taxonomy.MIN_DISTANCE_M, 1 m) and gives mean_path_loss_db, which is
+predict. predict is the one checked evaluation: each point against
+taxonomy.POINT_RULES, each mean against float64 overflow. A class's own
+_mean_db(f, d) is the unchecked kernel, called directly only on columns that
+taxonomy.ensure_fit_ready has checked. The family tables and fit plans live
+here too.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .taxonomy import MIN_DISTANCE_M, POINT_RULES, Dataset, ensure_fit_ready
 
 class _Params:
     """What every parameter class shares: the sigma_db check, the 1 m d0_m
-    check for a class with a d0_m, and mean_path_loss_db."""
+    check for a class with a d0_m, and mean_path_loss_db, which is predict."""
 
     def __post_init__(self):
         if not math.isfinite(self.sigma_db) or self.sigma_db < 0.0:
@@ -43,10 +46,8 @@ class _Params:
             raise ValueError("reference distance is fixed at 1 m")
 
     def mean_path_loss_db(self, frequency_ghz, distance_m):
-        """Mean path loss in dB; predict's DomainErrors, an overflowing mean as is."""
-        f, d = _grid(self, frequency_ghz, distance_m)
-        _check_points(self, f, d)
-        return self._mean_db(f, d)
+        """predict(self, frequency_ghz, distance_m): its results and its errors."""
+        return predict(self, frequency_ghz, distance_m)
 
 
 mean_path_loss_db = _Params.mean_path_loss_db
@@ -185,40 +186,17 @@ def _require_finite(where: str, **values: float) -> None:
         raise NumericalError(f"{where}: non-finite {', '.join(bad)}, the data overflow float64")
 
 
+def _rms(residuals: np.ndarray) -> float:
+    # np.mean's own sum and division, without its per-call overhead
+    return math.sqrt(float(np.add.reduce(residuals * residuals)) / residuals.size)
+
+
 # The decorator of the estimators and residual_sigma: data near the float64
 # limit overflow in their sums, and _require_finite reports the non-finite
 # result, so numpy's warnings would only say the same on stderr first. numpy 2
 # sets and resets the state per call; numpy 1.x keeps the saved state on this
 # one instance, so no decorated function may call another.
 _overflow_checked = np.errstate(over="ignore", invalid="ignore")
-
-
-def _grid(model: PathLossModel, frequency_ghz, distance_m):
-    """frequency_ghz and distance_m as float arrays; they broadcast to the grid."""
-    if frequency_ghz is None:
-        if model.family != "FI":
-            raise DomainError(f"frequency is required by the {model.family} family")
-        frequency_ghz = 1.0  # FI never reads it; any valid frequency stands in
-    return np.asarray(frequency_ghz, dtype=float), np.asarray(distance_m, dtype=float)
-
-
-def _check_points(model: PathLossModel, f, d, mean=None) -> None:
-    """Raise the error of the first failing point of the f x d grid in C order:
-    the DomainError of the first POINT_RULES rule it breaks, else, with mean
-    given, NumericalError for a non-finite mean."""
-    masks = [rule(f, d) for _, rule in POINT_RULES]
-    if mean is not None:
-        masks.append(~np.isfinite(mean))
-    if not any(mask.any() for mask in masks):
-        return
-    shape = np.broadcast(f, d).shape
-    masks = [np.broadcast_to(mask, shape) for mask in masks]
-    point = np.unravel_index(np.argmax(np.logical_or.reduce(masks)), shape)
-    for (message, _), mask in zip(POINT_RULES, masks):
-        if mask[point]:
-            raise DomainError(message)
-    raise NumericalError(f"predict: non-finite {model.family} mean path loss, "
-                         "the inputs overflow float64")
 
 
 def predict(model: PathLossModel, frequency_ghz, distance_m):
@@ -232,11 +210,24 @@ def predict(model: PathLossModel, frequency_ghz, distance_m):
     least 1 m) raises DomainError, else a mean that overflows float64
     raises NumericalError. Scalars give a float; arrays broadcast.
     """
-    f, d = _grid(model, frequency_ghz, distance_m)
-    # out-of-domain and overflowing points are reported by _check_points
+    if frequency_ghz is None:
+        if model.family != "FI":
+            raise DomainError(f"frequency is required by the {model.family} family")
+        frequency_ghz = 1.0  # FI never reads it; any valid frequency stands in
+    f, d = np.asarray(frequency_ghz, dtype=float), np.asarray(distance_m, dtype=float)
+    # out-of-domain and overflowing points are reported below
     with np.errstate(all="ignore"):
         out = model._mean_db(f, d)
-    _check_points(model, f, d, out)
+    masks = [rule(f, d) for _, rule in POINT_RULES] + [~np.isfinite(out)]
+    if any(mask.any() for mask in masks):
+        shape = np.broadcast(f, d).shape
+        masks = [np.broadcast_to(mask, shape) for mask in masks]
+        point = np.unravel_index(np.argmax(np.logical_or.reduce(masks)), shape)
+        for (message, _), mask in zip(POINT_RULES, masks):
+            if mask[point]:
+                raise DomainError(message)
+        raise NumericalError(f"predict: non-finite {model.family} mean path loss, "
+                             "the inputs overflow float64")
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,7 +242,6 @@ def residual_sigma(model: PathLossModel, dataset: Dataset) -> float:
     float64 raises NumericalError.
     """
     f, d, pl = ensure_fit_ready(dataset, "residual_sigma")
-    resid = pl - model.mean_path_loss_db(f, d)
-    sigma = float(np.sqrt(np.mean(resid**2)))
+    sigma = _rms(pl - model._mean_db(f, d))  # columns ensure_fit_ready checked
     _require_finite("residual_sigma", sigma_db=sigma)
     return sigma

@@ -28,6 +28,7 @@ from mmwpl.taxonomy import (
     PolarizationClass,
     ScenarioKey,
 )
+from test_dataio import nested_cix_document
 
 NLOS_CO_VV = ScenarioKey(Environment.NLOS, Layout.CORRIDOR, PolarizationClass.VV)
 NLOS_CO_VH = ScenarioKey(Environment.NLOS, Layout.CORRIDOR, PolarizationClass.VH)
@@ -758,6 +759,19 @@ class TestParamsDocumentShape:
             assert (code, out, caught) == (3, "", [])
             assert err.startswith(f"data error: read_params_json: {message}")
 
+    @pytest.mark.parametrize("text, kind", [
+        ("[" * 100_000 + "]" * 100_000, "array"),
+        (nested_cix_document(990), "object"),
+    ], ids=["brackets", "cix-chain-990"])
+    def test_too_deep_nesting_is_data(self, tmp_path, text, kind):
+        path = tmp_path / "params.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in params_commands(str(path)):
+            code, out, err, caught = run_main(argv)
+            assert (code, out, caught) == (3, "", [])
+            assert err.startswith("data error: read_params_json: invalid JSON: maximum "
+                                  f"recursion depth exceeded while decoding a JSON {kind}")
+
     @pytest.mark.parametrize("field, value", [
         ("n_samples", "abc"), ("n_samples", -3), ("n_samples", False), ("n_samples", 2.5),
         ("source", 5), ("source", ["a"]),
@@ -982,6 +996,46 @@ class TestParserReuse:
         run_main([*fi, "--f", "28"])
         assert run_main(fi) == (0, "freq_ghz,distance_m,path_loss_db\n,10,72.6000\n", "", [])
         assert cli._parser.parse_args(fi).freq == []
+
+
+# ------------------------------------------------------------- closed stdout
+
+class TestClosedStdout:
+    @staticmethod
+    def spawn(argv):
+        script = "import sys, mmwpl.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+        # a block-buffered stdout, as a pipe gets by default
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+        return subprocess.Popen([sys.executable, "-c", script, *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+
+    def test_a_reader_that_closes_after_one_line_gets_141_and_no_stderr(self):
+        with self.spawn(["synth", "--preset", "table5:nlos-cp", "--model", "CIF",
+                         "--scenario", "NLOS:CP:VV", "--freqs", "28:100000,73:100000"]) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert first.startswith(b"freq_ghz,distance_m,path_loss_db,")
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_a_close_before_the_last_flush_gets_141_and_no_stderr(self):
+        # the table fits in stdout's buffer, so only the final flush meets the closed pipe
+        with self.spawn(["report", "--preset", "table5:nlos-cp"]) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_a_stdout_without_a_file_gets_141_too(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["report", "--preset", "table5:nlos-cp"]) == 141
+        assert err.getvalue() == ""
 
 
 # ----------------------------------------------------- argv fuzz and closure

@@ -521,6 +521,16 @@ class TestCsvReaderProperties:
             assert len(read_text(text, mode)[1]) == 4097
 
 
+def nested_cix_document(depth):
+    """A params document whose one row nests depth CIX objects over a CI base."""
+    params = '{"model": "CI", "n": 2.0, "sigma_db": 1.0}'
+    for _ in range(depth):
+        params = f'{{"model": "CIX", "base": {params}, "xpd_db": 1.0, "sigma_db": 1.0}}'
+    return ('{"schema_version": 1, "rows": [{"model": "CIX", "freq_ghz": null, "scenario": '
+            '{"environment": "NLOS", "layout": "CO", "polarization": "VH"}, '
+            f'"params": {params}}}]}}')
+
+
 def demo_report():
     vv = ScenarioKey(Environment.NLOS, Layout.CLOSED_PLAN, PolarizationClass.VV)
     vh = ScenarioKey(Environment.NLOS, Layout.CLOSED_PLAN, PolarizationClass.VH)
@@ -583,6 +593,22 @@ class TestParamsJson:
             read_params_json(io.StringIO("[1, 2, 3]"))
         with pytest.raises(DataError, match="JSON"):
             read_params_json(io.StringIO("not json"))
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[" * 100_000 + "]" * 100_000, "array"),
+        (nested_cix_document(990), "object"),
+    ], ids=["brackets", "cix-chain-990"])
+    def test_too_deep_nesting_is_invalid_json(self, text, kind):
+        with pytest.raises(DataError, match=r"^read_params_json: invalid JSON: maximum recursion "
+                                            rf"depth exceeded while decoding a JSON {kind}"):
+            read_params_json(io.StringIO(text))
+
+    @pytest.mark.parametrize("depth", [400, 900])
+    def test_a_shallower_cix_chain_is_a_bad_parameter_object(self, depth):
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(nested_cix_document(depth)))
+        assert str(info.value) == ("read_params_json: bad parameter object: "
+                                   "XPD extension requires a CI, ABG, or CIF base")
 
     def test_bad_parameter_message_is_prefixed_once(self):
         text = dumps_params(demo_report()).replace('"sigma_db": 0.7', '"sigma_db": -0.7')

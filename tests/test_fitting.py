@@ -739,7 +739,7 @@ def ref_cif(t, f0_ghz):
 
 
 def ref_xpd(base, t):
-    resid = t.pl - base.mean_path_loss_db(t.f, t.d)
+    resid = t.pl - base._mean_db(t.f, t.d)  # unchecked, as fit_xpd's own kernel
     xpd = float(np.mean(resid))
     sigma = ref_rms(resid - xpd)
     ref_require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)

@@ -1,5 +1,7 @@
 """Parameter records and mean-value predictions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,12 +139,11 @@ class TestPredictContract:
     def test_method_raises_the_same_domain_errors(self, model, freqs, dists):
         try:
             expected = predict(model, freqs[:, None], dists[None, :])
-        except DomainError as exc:
-            with pytest.raises(DomainError) as raised:
+        except (DomainError, NumericalError) as exc:
+            with pytest.raises(type(exc)) as raised:
                 model.mean_path_loss_db(freqs[:, None], dists[None, :])
+            assert type(raised.value) is type(exc)
             assert str(raised.value) == str(exc)
-        except NumericalError:
-            pass
         else:
             out = mean_path_loss_db(model, freqs[:, None], dists[None, :])
             assert out.tobytes() == expected.tobytes()
@@ -154,6 +155,19 @@ class TestPredictContract:
             predict(model, None, 10.0)
         with pytest.raises(DomainError, match=message):
             model.mean_path_loss_db(None, 10.0)
+
+    def test_an_overflowing_mean_is_numerical_in_the_method_too(self):
+        model = CiParams(1e308, 1.0)
+        for evaluate in (predict, mean_path_loss_db, CiParams.mean_path_loss_db):
+            with pytest.raises(NumericalError, match=r"^predict: non-finite CI mean path loss, "
+                                                     r"the inputs overflow float64$"):
+                evaluate(model, 28.0, 1e300)
+
+    @pytest.mark.parametrize("model", PRESET_MODELS, ids=lambda m: m.family)
+    def test_a_scalar_gives_a_float(self, model):
+        out = model.mean_path_loss_db(28.0, 10.0)
+        assert type(out) is float
+        assert out == predict(model, 28.0, 10.0)
 
     def test_the_frequency_rule_comes_first_for_every_family(self):
         for model in PRESET_MODELS:
@@ -246,3 +260,23 @@ class TestResidualSigma:
         with pytest.raises(NumericalError, match=r"^residual_sigma: non-finite sigma_db, "
                                                  r"the data overflow float64$"):
             residual_sigma(model, ds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from([*PRESET_MODELS, CiParams(1e308, 1.0)]),
+           rows=st.sampled_from([(20.0, 200.0), (1e-300, 1.7e308)]).flatmap(
+               lambda losses: st.lists(st.tuples(st.sampled_from([28.0, 73.0, 1.0, 1e5]),
+                                                 st.floats(1.0, 1e6), st.floats(*losses)),
+                                       min_size=1, max_size=200)))
+    def test_equals_the_root_mean_of_squares_bit_for_bit(self, model, rows):
+        ds = Dataset(tuple(mk(f, d, pl) for f, d, pl in rows))
+        f, d, pl = ds.arrays()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the mean on columns that passed the domain checks, then the old spread
+            resid = pl - model._mean_db(f, d)
+            expected = float(np.sqrt(np.mean(resid**2)))
+        if math.isfinite(expected):
+            assert residual_sigma(model, ds).hex() == expected.hex()
+        else:
+            with pytest.raises(NumericalError, match=r"^residual_sigma: non-finite sigma_db, "
+                                                     r"the data overflow float64$"):
+                residual_sigma(model, ds)

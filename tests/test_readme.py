@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mmwpl import cli
 from mmwpl.cli import main
 from test_golden import PAIRS, _cells, _write
 
@@ -41,3 +42,10 @@ def test_readme_examples_run(tmp_path, monkeypatch):
             exec(compile(block, "README.md", "exec"), namespace)
         failed = [(line, code) for line in lines if (code := main(shlex.split(line)[1:]))]
     assert failed == [], stderr.getvalue()
+
+
+def test_exit_code_table_lists_the_codes_cli_defines():
+    section = README.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    listed = {int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)}
+    defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert listed == defined == {0, 2, 3, 4, 141}
