@@ -171,6 +171,21 @@ def _cmd_report(args) -> int:
 
 # ------------------------------------------------------------- compare
 
+def _param_cell(name: str, value) -> str:
+    """name=value to 2 decimals; a _db or _ghz name's unit follows the value, GHz whole."""
+    for suffix, unit, decimals in (("_db", " dB", 2), ("_ghz", " GHz", 0), ("", "", 2)):
+        if name.endswith(suffix):  # the last entry takes every other name
+            return f"{name.removesuffix(suffix)}={format_fixed(value, decimals)}{unit}"
+
+
+def _fit_lines(*fits) -> list[str]:
+    """A line per fit: its family tag, padded to the widest, and its fields but d0_m."""
+    width = max(len(fit.family) for fit in fits)
+    return [f"{fit.family:<{width}} : " + "  ".join(
+        _param_cell(name, value) for _, name, value in fit.record() if name != "d0_m")
+        for fit in fits]
+
+
 def _cmd_compare(args) -> int:
     dataset = _load_dataset(args.input, args.mode)
     label = "all samples"
@@ -184,31 +199,12 @@ def _cmd_compare(args) -> int:
     freqs = dataset.frequencies()
     lines = [f"comparison on {label} ({len(dataset)} samples)"]
     if len(freqs) == 1:
-        lines.append(f"single frequency: {freqs[0]:g} GHz")
-        ci = fitting.fit_ci(dataset)
-        fi = fitting.fit_fi(dataset)
-        lines.append(f"CI : n={format_fixed(ci.ple_n, 2)}  sigma={format_fixed(ci.sigma_db, 2)} dB")
-        lines.append(
-            f"FI : alpha={format_fixed(fi.alpha_db, 2)} dB  beta={format_fixed(fi.beta_slope, 2)}"
-            f"  sigma={format_fixed(fi.sigma_db, 2)} dB"
-        )
-        gap = ci.sigma_db - fi.sigma_db
-        lines.append(f"sigma gap (CI - FI): {format_fixed(gap, 2)} dB")
+        ci, fi = fitting.fit_ci(dataset), fitting.fit_fi(dataset)
+        lines += [f"single frequency: {freqs[0]:g} GHz", *_fit_lines(ci, fi),
+                  f"sigma gap (CI - FI): {format_fixed(ci.sigma_db - fi.sigma_db, 2)} dB"]
     else:
-        freq_text = ", ".join(f"{f:g}" for f in freqs)
-        lines.append(f"multi-frequency: {freq_text} GHz")
-        ci = fitting.fit_ci(dataset)
-        cif = fitting.fit_cif(dataset, args.f0)
-        abg = fitting.fit_abg(dataset)
-        lines.append(f"CI  : n={format_fixed(ci.ple_n, 2)}  sigma={format_fixed(ci.sigma_db, 2)} dB")
-        lines.append(
-            f"CIF : n={format_fixed(cif.n, 2)}  b={format_fixed(cif.b, 2)}"
-            f"  f0={format_fixed(cif.f0_ghz, 0)} GHz  sigma={format_fixed(cif.sigma_db, 2)} dB"
-        )
-        lines.append(
-            f"ABG : alpha={format_fixed(abg.alpha_dist, 2)}  beta={format_fixed(abg.beta_db, 2)} dB"
-            f"  gamma={format_fixed(abg.gamma_freq, 2)}  sigma={format_fixed(abg.sigma_db, 2)} dB"
-        )
+        fits = fitting.fit_ci(dataset), fitting.fit_cif(dataset, args.f0), fitting.fit_abg(dataset)
+        lines += [f"multi-frequency: {', '.join(f'{f:g}' for f in freqs)} GHz", *_fit_lines(*fits)]
     dataio.write_text("\n".join(lines) + "\n", args.output or sys.stdout)
     return EXIT_OK
 

@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DataError
-from .models import XPD_BASE_FAMILIES, AbgParams, CifParams, CiParams, FiParams, XpdExtension
+from .models import _FLOAT_MAX, PARAMS_CLASSES, XPD_BASE_FAMILIES, XpdExtension
 from .report import FitReport, FitRow
 from .taxonomy import (
     CODE,
@@ -384,37 +384,24 @@ def write_csv(dataset: Dataset, dest: Source) -> None:
 
 def _finite(value, what: str):
     """A JSON number that is finite; NaN, Infinity, strings and booleans raise."""
-    try:
-        if type(value) in (int, float) and math.isfinite(value):
-            return value
-    except OverflowError:  # an integer beyond the float range
-        pass
+    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
-# each family's class and JSON fields, in constructor (and dataclass field)
-# order; d0_m may be absent and reads as the 1 m reference
-_PARAM_FIELDS = {
-    "CI": (CiParams, ("n", "sigma_db", "d0_m")),
-    "FI": (FiParams, ("alpha_db", "beta", "sigma_db")),
-    "ABG": (AbgParams, ("alpha", "beta_db", "gamma", "sigma_db", "d0_m")),
-    "CIF": (CifParams, ("n", "b", "f0_ghz", "sigma_db", "d0_m")),
-    **{base + "X": (XpdExtension, ("base", "xpd_db", "sigma_db")) for base in XPD_BASE_FAMILIES},
-}
+_CLASSES = {**PARAMS_CLASSES, **{base + "X": XpdExtension for base in XPD_BASE_FAMILIES}}
 
 
 def _params_from_fields(obj: dict):
+    """A parameter record from its JSON object; an absent d0_m reads as 1 m."""
     try:
         model = obj["model"]
-        if isinstance(model, str) and model in _PARAM_FIELDS:
-            cls, names = _PARAM_FIELDS[model]
-            values = []
-            for name in names:
-                if name == "base":
-                    values.append(_params_from_fields(obj["base"]))
-                else:
-                    value = obj.get(name, MIN_DISTANCE_M) if name == "d0_m" else obj[name]
-                    values.append(_finite(value, f"{model} parameter {name}"))
+        if isinstance(model, str) and model in _CLASSES:
+            cls, values = _CLASSES[model], []
+            for name in cls._json_names:
+                value = obj.get(name, MIN_DISTANCE_M) if name == "d0_m" else obj[name]
+                values.append(_params_from_fields(value) if name == "base"
+                              else _finite(value, f"{model} parameter {name}"))
             return cls(*values)
     except DataError:  # an XPD base's own error, already prefixed
         raise
@@ -472,15 +459,14 @@ def _json_value(value) -> str:
 
 def _params_json(params, indent: str) -> str:
     """A parameter record as json.dumps(indent=2) lays it out at indent: its
-    model, then its _PARAM_FIELDS in order, an XPD base nested one deeper."""
-    cls, names = _PARAM_FIELDS.get(getattr(params, "family", None), (None, ()))
-    if cls is None or not isinstance(params, cls):
+    model, then its record in field order, an XPD base nested one deeper."""
+    if not isinstance(params, _CLASSES.get(getattr(params, "family", None), ())):
         raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
     inner = indent + "  "
     return f'{{\n{inner}"model": {_json_value(params.family)}' + "".join(
         f',\n{inner}"{name}": '
         + (_params_json(value, inner) if name == "base" else _json_value(value))
-        for name, value in zip(names, vars(params).values())
+        for _, name, value in params.record()
     ) + f"\n{indent}}}"
 
 

@@ -123,6 +123,16 @@ def _require_spread(where: str, t: _Terms, *regressors: str) -> None:
                                       regressor=regressor)
 
 
+def _fitted(cls, where: str, *values):
+    """cls(*values); if cls refuses them, _require_finite names each non-finite one."""
+    try:
+        return cls(*values)
+    except ValueError:
+        pass
+    _require_finite(where, **{n: v for n, v in zip(cls._json_names, values) if n != "base"})
+    return cls(*values)
+
+
 def _ci(t: _Terms) -> CiParams:
     if not t.dec.any():
         raise SingularDesignError(
@@ -130,9 +140,7 @@ def _ci(t: _Terms) -> CiParams:
             regressor="distance",
         )
     (n,), resid = _least_squares((t.dec,), t.excess, ("distance",))
-    sigma = _rms(resid)
-    _require_finite("fit_ci", n=n, sigma_db=sigma)
-    return CiParams(ple_n=n, sigma_db=sigma)
+    return _fitted(CiParams, "fit_ci", n, _rms(resid))
 
 
 def _fi(t: _Terms) -> FiParams:
@@ -144,9 +152,7 @@ def _fi(t: _Terms) -> FiParams:
     (alpha, beta), resid = _least_squares(
         (np.ones_like(t.dec), t.dec), t.pl, ("intercept", "distance")
     )
-    sigma = _rms(resid)
-    _require_finite("fit_fi", alpha_db=alpha, beta=beta, sigma_db=sigma)
-    return FiParams(alpha_db=alpha, beta_slope=beta, sigma_db=sigma)
+    return _fitted(FiParams, "fit_fi", alpha, beta, _rms(resid))
 
 
 def _abg(t: _Terms) -> AbgParams:
@@ -154,9 +160,7 @@ def _abg(t: _Terms) -> AbgParams:
     (beta, alpha, gamma), resid = _least_squares(
         (np.ones_like(t.dec), t.dec, t.fdec), t.pl, ("intercept", "distance", "frequency")
     )
-    sigma = _rms(resid)
-    _require_finite("fit_abg", alpha=alpha, beta_db=beta, gamma=gamma, sigma_db=sigma)
-    return AbgParams(alpha_dist=alpha, beta_db=beta, gamma_freq=gamma, sigma_db=sigma)
+    return _fitted(AbgParams, "fit_abg", alpha, beta, gamma, _rms(resid))
 
 
 def _f0(f: np.ndarray) -> float:
@@ -189,17 +193,13 @@ def _cif(t: _Terms, f0_ghz: float | None) -> CifParams:
         raise NumericalError(
             "fit_cif: frequency weighting b undefined, fitted exponent is zero"
         )
-    sigma = _rms(resid)
-    _require_finite("fit_cif", n=u, b=v / u, sigma_db=sigma)
-    return CifParams(n=u, b=v / u, f0_ghz=f0, sigma_db=sigma)
+    return _fitted(CifParams, "fit_cif", u, v / u, f0, _rms(resid))
 
 
 def _xpd(base: CoPolarizedParams, t: _Terms) -> XpdExtension:
     resid = t.pl - base._mean_db(t.f, t.d)  # columns ensure_fit_ready checked
     xpd = float(np.add.reduce(resid)) / resid.size  # np.mean's sum and division
-    sigma = _rms(resid - xpd)
-    _require_finite("fit_xpd", xpd_db=xpd, sigma_db=sigma)
-    return XpdExtension(base=base, xpd_db=xpd, sigma_db=sigma)
+    return _fitted(XpdExtension, "fit_xpd", base, xpd, _rms(resid - xpd))
 
 
 def _ready(dataset: Dataset, operation: str) -> _Terms:

@@ -13,20 +13,23 @@ a constant cross-polarization discrimination offset in dB.
 Predictions are the mean path loss only; shadow fading is carried as the
 sigma_db attribute and applied by the synthesis module.
 
-Every class derives from _Params, which checks sigma_db and any d0_m (fixed
-at taxonomy.MIN_DISTANCE_M, 1 m) and gives mean_path_loss_db, which is
-predict. predict is the one checked evaluation: each point against
-taxonomy.POINT_RULES, each mean against float64 overflow. A class's own
-_mean_db(f, d) is the unchecked kernel, called directly only on columns that
-taxonomy.ensure_fit_ready has checked. The family tables and fit plans live
-here too.
+Each class's fields are its family's parameter record, with a field's JSON
+name in its metadata where it differs (ple_n is "n"); the params JSON codec,
+the tables, compare and the estimators read it through _Params.record().
+_Params refuses a bad sigma_db, d0_m (fixed at taxonomy.MIN_DISTANCE_M, 1 m),
+f0_ghz or XPD base, then any other non-finite number. Its mean_path_loss_db
+is predict, the one checked evaluation: each point against POINT_RULES, each
+mean against float64 overflow. A class's own _mean_db(f, d) is the unchecked
+kernel, called only on columns that taxonomy.ensure_fit_ready has checked.
+The family tables and fit plans live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union, get_args
+import sys
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Union, get_args
 
 import numpy as np
 
@@ -35,29 +38,56 @@ from .freespace import friis_db
 from .taxonomy import MIN_DISTANCE_M, POINT_RULES, Dataset, ensure_fit_ready
 
 
+# finite is |x| <= _FLOAT_MAX: NaN compares false, an int beyond the float range greater
+_FLOAT_MAX = sys.float_info.max
+
+
 class _Params:
-    """What every parameter class shares: the sigma_db check, the 1 m d0_m
-    check for a class with a d0_m, and mean_path_loss_db, which is predict."""
+    """What every parameter class shares: record(), the checks of sigma_db,
+    d0_m, f0_ghz, an XPD base and every other number, and mean_path_loss_db."""
 
     def __post_init__(self):
-        if not math.isfinite(self.sigma_db) or self.sigma_db < 0.0:
+        if not 0.0 <= self.sigma_db <= _FLOAT_MAX:
             raise ValueError("sigma_db must be finite and non-negative")
         if getattr(self, "d0_m", MIN_DISTANCE_M) != MIN_DISTANCE_M:
             raise ValueError("reference distance is fixed at 1 m")
+        if not 0.0 < getattr(self, "f0_ghz", 1.0) <= _FLOAT_MAX:
+            raise ValueError("f0_ghz must be finite and positive")
+        if "base" in vars(self) and not isinstance(self.base, CoPolarizedParams):
+            raise ValueError(f"XPD extension requires a {', '.join(XPD_BASE_FAMILIES[:-1])}, "
+                             f"or {XPD_BASE_FAMILIES[-1]} base")
+        for attr in self._coefficients:
+            if not -_FLOAT_MAX <= getattr(self, attr) <= _FLOAT_MAX:
+                raise ValueError(f"{attr} must be finite")
+
+    def record(self) -> Iterator[tuple[str, str, object]]:
+        """An iterator of (attribute, JSON name, value) per field, in field order,
+        which is the order a dataclass's __init__ sets them in."""
+        return zip(vars(self), self._json_names, vars(self).values())
 
     def mean_path_loss_db(self, frequency_ghz, distance_m):
         """predict(self, frequency_ghz, distance_m): its results and its errors."""
         return predict(self, frequency_ghz, distance_m)
 
 
+def _record(cls):
+    """cls as a frozen dataclass with _json_names, its fields' JSON names in order,
+    and _coefficients, the attributes of the numbers before sigma_db."""
+    cls = dataclass(frozen=True)(cls)
+    cls._json_names = tuple(f.metadata.get("json", f.name) for f in fields(cls))
+    names = [f.name for f in fields(cls)]
+    cls._coefficients = tuple(name for name in names[:names.index("sigma_db")] if name != "base")
+    return cls
+
+
 mean_path_loss_db = _Params.mean_path_loss_db
 
 
-@dataclass(frozen=True)
+@_record
 class CiParams(_Params):
     """Close-in model: free space to 1 m, then one path loss exponent."""
 
-    ple_n: float
+    ple_n: float = field(metadata={"json": "n"})
     sigma_db: float
     d0_m: float = MIN_DISTANCE_M
 
@@ -67,7 +97,7 @@ class CiParams(_Params):
         return friis_db(f, MIN_DISTANCE_M) + 10.0 * self.ple_n * np.log10(d)
 
 
-@dataclass(frozen=True)
+@_record
 class FiParams(_Params):
     """Floating-intercept line: intercept in dB plus slope per distance decade.
 
@@ -76,7 +106,7 @@ class FiParams(_Params):
     """
 
     alpha_db: float
-    beta_slope: float
+    beta_slope: float = field(metadata={"json": "beta"})
     sigma_db: float
 
     family = "FI"
@@ -86,7 +116,7 @@ class FiParams(_Params):
         return self.alpha_db + 10.0 * self.beta_slope * np.log10(d)
 
 
-@dataclass(frozen=True)
+@_record
 class AbgParams(_Params):
     """Multi-frequency model with separate distance and frequency exponents.
 
@@ -94,9 +124,9 @@ class AbgParams(_Params):
     relative to 1 GHz, beta_db is the floating offset.
     """
 
-    alpha_dist: float
+    alpha_dist: float = field(metadata={"json": "alpha"})
     beta_db: float
-    gamma_freq: float
+    gamma_freq: float = field(metadata={"json": "gamma"})
     sigma_db: float
     d0_m: float = MIN_DISTANCE_M
 
@@ -110,7 +140,7 @@ class AbgParams(_Params):
         )
 
 
-@dataclass(frozen=True)
+@_record
 class CifParams(_Params):
     """Close-in model with the exponent weighted linearly in frequency.
 
@@ -125,11 +155,6 @@ class CifParams(_Params):
     d0_m: float = MIN_DISTANCE_M
 
     family = "CIF"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not math.isfinite(self.f0_ghz) or self.f0_ghz <= 0.0:
-            raise ValueError("f0_ghz must be finite and positive")
 
     def _mean_db(self, f, d):
         slope = self.n * (1.0 + self.b * (f - self.f0_ghz) / self.f0_ghz)
@@ -150,7 +175,7 @@ PER_FREQUENCY_FAMILIES = ("CI", "FI")
 POOLED_FAMILIES = ("CI", "CIF", "ABG")
 
 
-@dataclass(frozen=True)
+@_record
 class XpdExtension(_Params):
     """Constant cross-polarization offset over a frozen co-polarized base.
 
@@ -161,12 +186,6 @@ class XpdExtension(_Params):
     base: CoPolarizedParams
     xpd_db: float
     sigma_db: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.base, CoPolarizedParams):
-            raise ValueError(f"XPD extension requires a {', '.join(XPD_BASE_FAMILIES[:-1])}, "
-                             f"or {XPD_BASE_FAMILIES[-1]} base")
 
     @property
     def family(self) -> str:
@@ -193,9 +212,7 @@ def _rms(residuals: np.ndarray) -> float:
 
 # The decorator of the estimators and residual_sigma: data near the float64
 # limit overflow in their sums, and _require_finite reports the non-finite
-# result, so numpy's warnings would only say the same on stderr first. numpy 2
-# sets and resets the state per call; numpy 1.x keeps the saved state on this
-# one instance, so no decorated function may call another.
+# result, so numpy's warnings would only say the same on stderr first.
 _overflow_checked = np.errstate(over="ignore", invalid="ignore")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
-from .models import POOLED_FAMILIES, CifParams, CiParams, XpdExtension
+from .models import POOLED_FAMILIES
 from .numformat import format_fixed
 from .taxonomy import LABELS, PolarizationClass, ScenarioKey, ordered_pairs
 
@@ -143,6 +143,20 @@ def _fmt(value, decimals) -> str:
     return format_fixed(value, decimals)
 
 
+def _coefficient_cells(params, width: int) -> list[str]:
+    """A record's fields before sigma_db, b to 2 decimals, f0_ghz whole, the rest to 1,
+    padded with "-" to width, an XPD base's to width - 1; all "-" for None."""
+    cells = []
+    for _, name, value in params.record() if params else ():
+        if name == "sigma_db":
+            break
+        if name == "base":
+            cells = _coefficient_cells(value, width - 1)
+        else:
+            cells.append(format_fixed(value, 2 if name == "b" else 0 if name == "f0_ghz" else 1))
+    return cells + ["-"] * (width - len(cells))
+
+
 def _freq_label(freq_ghz: float) -> str:
     return f"{freq_ghz:g} GHz"
 
@@ -193,10 +207,9 @@ def _table3_body(grid: _Grid) -> list[list[str]]:
                         pass
                 body.append([
                     _freq_label(freq), LABELS[pol], LABELS[env], LABELS[layout],
-                    _fmt(ci.params.ple_n if ci else None, 1),
+                    *_coefficient_cells(ci and ci.params, 1),
                     _fmt(ci.sigma_db if ci else None, 1),
-                    _fmt(fi.params.alpha_db if fi else None, 1),
-                    _fmt(fi.params.beta_slope if fi else None, 1),
+                    *_coefficient_cells(fi and fi.params, 2),
                     _fmt(fi.sigma_db if fi else None, 1),
                     _fmt(gap, 1),
                 ])
@@ -210,24 +223,11 @@ def _table4_body(grid: _Grid) -> list[list[str]]:
             row = grid.first("CIX", env, layout, vh, freq)
             if row is None:
                 continue
-            ext = row.params
             body.append([
                 _freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout],
-                _fmt(ext.base.ple_n, 1), _fmt(ext.xpd_db, 1), _fmt(row.sigma_db, 1),
+                *_coefficient_cells(row.params, 2), _fmt(row.sigma_db, 1),
             ])
     return body
-
-
-def _family_param_cells(params) -> list[str]:
-    """The three shared parameter columns (exponent, weighting/offset,
-    reference/frequency exponent) for a multi-frequency table row: a
-    POOLED_FAMILIES fit or its XPD extension."""
-    base = params.base if isinstance(params, XpdExtension) else params
-    if isinstance(base, CiParams):
-        return [_fmt(base.ple_n, 1), "-", "-"]
-    if isinstance(base, CifParams):
-        return [_fmt(base.n, 1), _fmt(base.b, 2), _fmt(base.f0_ghz, 0)]
-    return [_fmt(base.alpha_dist, 1), _fmt(base.beta_db, 1), _fmt(base.gamma_freq, 1)]
 
 
 def _table5_body(grid: _Grid) -> list[list[str]]:
@@ -239,11 +239,9 @@ def _table5_body(grid: _Grid) -> list[list[str]]:
             row = grid.first(family, env, layout, pol, None)
             if row is None:
                 continue
-            params = row.params
-            xpd = params.xpd_db if isinstance(params, XpdExtension) else None
             body.append([
                 LABELS[env], LABELS[layout], family, LABELS[pol],
-                *_family_param_cells(params), _fmt(xpd, 1), _fmt(row.sigma_db, 1),
+                *_coefficient_cells(row.params, 4), _fmt(row.sigma_db, 1),
             ])
     return body
 
@@ -257,7 +255,7 @@ def _table6_body(grid: _Grid) -> list[list[str]]:
                 continue
             body.append([
                 family, LABELS[env], LABELS[layout],
-                *_family_param_cells(row.params), _fmt(row.sigma_db, 1),
+                *_coefficient_cells(row.params, 3), _fmt(row.sigma_db, 1),
             ])
     return body
 

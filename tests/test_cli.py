@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from mmwpl import cli, dataio, presets
 from mmwpl.cli import main
 from mmwpl.errors import DomainError, NumericalError
-from mmwpl.models import CiParams, predict
+from mmwpl.fitting import fit_cif
+from mmwpl.models import MODEL_FAMILIES, CiParams, predict
+from mmwpl.numformat import format_fixed
 from mmwpl.report import FitReport, render_table, render_tables
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
@@ -249,6 +252,11 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "multi-frequency: 28, 73 GHz" in text
         assert "CIF" in text and "ABG" in text and "f0=51" in text
+        # a given f0 is fitted as given and printed in whole GHz, ties away from zero
+        assert main(["compare", "--input", path, "--f0", "50.5"]) == 0
+        cif = fit_cif(dataio.read_csv(path)[0], 50.5)
+        assert (f"CIF : n={format_fixed(cif.n, 2)}  b={format_fixed(cif.b, 2)}  f0=51 GHz  "
+                f"sigma={format_fixed(cif.sigma_db, 2)} dB\n") in capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -1073,8 +1081,33 @@ FUZZ_BLOCKS = st.lists(
     max_size=3).map(",".join)
 
 
+def required(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
 def optional(flag, values):
-    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+    return st.one_of(st.just([]), required(flag, values))
+
+
+@st.composite
+def fuzz_params_json(draw, files):
+    """A params JSON of one fitted row per family in which one field of one
+    row's params, or of its XPD base, is deleted, mistyped, or set to NaN,
+    1e308 or 10**400; written over drawn.json."""
+    rows = json.loads((files / "params.json").read_text(encoding="utf-8"))["rows"]
+    drawn = [draw(st.sampled_from([row for row in rows if row["model"] == family]))
+             for family in MODEL_FAMILIES]
+    params = draw(st.sampled_from(drawn))["params"]
+    target = draw(st.sampled_from([params, params["base"]] if "base" in params else [params]))
+    key = draw(st.sampled_from(sorted(set(target) - {"model"})))
+    value = draw(st.sampled_from(["delete", "x", True, None, math.nan, 1e308, 10**400]))
+    if value == "delete":
+        del target[key]
+    else:
+        target[key] = value
+    path = files / "drawn.json"
+    path.write_text(json.dumps({"schema_version": 1, "rows": drawn}), encoding="utf-8")
+    return str(path)
 
 
 @st.composite
@@ -1083,7 +1116,7 @@ def fuzz_argv(draw, command, files):
     path = st.sampled_from(["both.csv", "single.csv", "low.csv", "params.json", "missing.csv"]
                            ).map(lambda name: str(files / name))
     params = st.sampled_from(["params.json", "empty.json", "both.csv", "missing.json"]
-                             ).map(lambda name: str(files / name))
+                             ).map(lambda name: str(files / name)) | fuzz_params_json(files)
     source = st.one_of(optional("--preset", FUZZ_PRESETS), optional("--params", params))
     parts = {
         "fit": [path.map(lambda p: ["--input", p]), optional("--scenario", FUZZ_SCENARIOS),
@@ -1096,6 +1129,10 @@ def fuzz_argv(draw, command, files):
                         ["strict", "lax"]))],
         "report": [source, optional("--style", st.sampled_from(
             ["table3", "table4", "table5", "table6"]))],
+        "predict": [required("--params", params) | required("--preset", FUZZ_PRESETS),
+                    required("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
+                    optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
+                    optional("--freq", FUZZ_NUMBERS), required("--dist", FUZZ_NUMBERS)],
         "synth": [source, optional("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
                   optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
                   optional("--freqs", FUZZ_BLOCKS), optional("--dmin", FUZZ_NUMBERS),
@@ -1106,8 +1143,8 @@ def fuzz_argv(draw, command, files):
 
 
 class TestArgvFuzz:
-    @pytest.mark.parametrize("command", ["synth", "report", "compare", "fit"])
-    @settings(max_examples=120, deadline=None)
+    @pytest.mark.parametrize("command", ["synth", "report", "compare", "fit", "predict"])
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_exit_code_is_classified(self, fuzz_files, command, data):
         argv = data.draw(fuzz_argv(command, fuzz_files))
@@ -1115,6 +1152,11 @@ class TestArgvFuzz:
         assert code in (0, 2, 3, 4)
         assert caught == []
         assert "Traceback" not in err and "Warning" not in err
+        if code != 0 and not err.startswith("usage: "):  # argparse's own refusal
+            lines = err.splitlines()
+            classified = [line for line in lines if line.startswith(
+                ("usage error: ", "data error: ", "numerical error: "))]
+            assert classified == lines[-1:], err
 
 
 SYNTH_MODELS = st.sampled_from([("table5:nlos-cp", family) for family in

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -826,7 +827,8 @@ SOURCES = st.text() | st.sampled_from(["", "data.csv[LOS:CO:VV]@28GHz", "é \x
 
 class TestParamsCodec:
     @settings(max_examples=300, deadline=None)
-    @given(report=reports(ANY_FLOAT, st.none() | ANY_FLOAT, SOURCES))
+    # the constructors refuse a non-finite coefficient; freq_ghz keeps NaN and infinities
+    @given(report=reports(ANY_FLOAT.filter(math.isfinite), st.none() | ANY_FLOAT, SOURCES))
     def test_writer_matches_json_dumps(self, report):
         assert dumps_params(report) == reference_dumps_params(report)
 

@@ -1,5 +1,6 @@
 """Parameter records and mean-value predictions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -221,6 +222,39 @@ class TestParameterValidation:
             with pytest.raises(ValueError,
                                match="^XPD extension requires a CI, ABG, or CIF base$"):
                 XpdExtension(base=base, xpd_db=10.0, sigma_db=1.0)
+
+    @pytest.mark.parametrize("model, attr", [
+        (CiParams(2.0, 1.0), "ple_n"),
+        *((FiParams(50.0, 2.0, 1.0), attr) for attr in ("alpha_db", "beta_slope")),
+        *((AbgParams(2.0, 30.0, 2.0, 1.0), attr) for attr in ("alpha_dist", "beta_db",
+                                                               "gamma_freq")),
+        *((CifParams(2.0, 0.1, 50.0, 1.0), attr) for attr in ("n", "b")),
+        *((XpdExtension(base, 10.0, 1.0), "xpd_db") for base in (
+            CiParams(2.0, 1.0), AbgParams(2.0, 30.0, 2.0, 1.0), CifParams(2.0, 0.1, 50.0, 1.0))),
+    ], ids=lambda v: v if isinstance(v, str) else v.family)
+    def test_non_finite_coefficient_is_refused(self, model, attr):
+        # refused here, a coefficient never reaches predict, which would blame the inputs
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400, -10**400):
+            with pytest.raises(ValueError, match=f"^{attr} must be finite$"):
+                dataclasses.replace(model, **{attr: value})
+
+    def test_int_beyond_float_range_fails_the_own_checks(self):
+        # an int beyond the float range is not finite: each check gives its own text
+        for build, message in (
+                (lambda v: CiParams(2.0, v), "sigma_db must be finite and non-negative"),
+                (lambda v: CifParams(2.0, 0.1, v, 1.0), "f0_ghz must be finite and positive"),
+                (lambda v: XpdExtension(CiParams(2.0, 1.0), 10.0, v),
+                 "sigma_db must be finite and non-negative")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(10**400)
+
+    def test_own_checks_come_before_the_coefficients(self):
+        for build, message in (
+                (lambda: CiParams(math.nan, -1.0), "sigma_db must be finite and non-negative"),
+                (lambda: CiParams(math.nan, 1.0, d0_m=3.0), "reference distance is fixed at 1 m"),
+                (lambda: CifParams(math.inf, 0.1, 0.0, 1.0), "f0_ghz must be finite and positive")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
 
     def test_family_labels(self):
         assert CiParams(2.0, 0.0).family == "CI"

@@ -7,12 +7,14 @@ import contextlib
 import io
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from mmwpl import cli
 from mmwpl.cli import main
+from mmwpl.models import PARAMS_CLASSES, XPD_BASE_FAMILIES, XpdExtension
 from test_golden import PAIRS, _cells, _write
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -49,3 +51,16 @@ def test_exit_code_table_lists_the_codes_cli_defines():
     listed = {int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)}
     defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert listed == defined == {0, 2, 3, 4, 141}
+
+
+def test_params_key_table_is_the_record():
+    section = README.split("\n## Parameter JSON format\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([A-Z, ]+) \| (`.*`) \| (`.*`) \|$", section, re.M)
+    listed = {tuple(models.split(", ")): [(attr, key) for key, attr in zip(
+        re.findall(r"`(\w+)`", keys), re.findall(r"`(\w+)`", attrs), strict=True)]
+        for models, keys, attrs in rows}
+    classes = {(family,): cls for family, cls in PARAMS_CLASSES.items()}
+    classes[tuple(base + "X" for base in XPD_BASE_FAMILIES)] = XpdExtension
+    record = {models: [(field.name, name) for field, name in zip(fields(cls), cls._json_names)]
+              for models, cls in classes.items()}
+    assert listed == record
