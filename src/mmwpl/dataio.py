@@ -22,7 +22,8 @@ those csv.reader gives.
 
 Writers give each float as its repr (the shortest text that reads back
 exactly), quote a label only where csv minimal quoting needs it (a comma,
-a double quote, \r or \n) and end every line in \n.
+a double quote, \r or \n) and end every line in \n. A shared column's
+cell is made once per file, not once per row.
 
 Parameters travel as JSON with a schema_version field, fixed key order,
 and repr-roundtrip floats, so write -> read -> write is byte-identical.
@@ -37,7 +38,8 @@ import csv
 import io
 import json
 import math
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
@@ -366,42 +368,56 @@ def _label_cells(labels: list, memo: dict) -> Iterator[str]:
 
 
 def write_csv(dataset: Dataset, dest: Source) -> None:
-    """Write a dataset in the fixed schema; floats keep full precision."""
+    """Write a dataset in the fixed schema; floats keep full precision.
+
+    A shared column's cell (stride 0) is made once per file. Adjacent ones fuse
+    into a line prefix, a suffix, or one cell repeated between varying columns."""
     tokens = [[m.value for m in enum_cls] for _, enum_cls in _TOKEN_COLUMNS]
     labels: dict = {}
+    formats = (*(partial(map, repr),) * 3, *(partial(map, t.__getitem__) for t in tokens),
+               *(partial(_label_cells, memo=labels),) * 2)
+    columns = (dataset.freq, dataset.dist, dataset.pl, dataset.pol, dataset.env,
+               dataset.layout, dataset.tx_id, dataset.rx_id)
+    cells = [next(f(c[:1].tolist())) if c.size and c.strides == (0,) else (f, c)
+             for f, c in zip(formats, columns)]
+    runs: list = []  # a str is a run of shared cells, a pair a varying column
+    for shared, group in groupby(cells, key=lambda cell: isinstance(cell, str)):
+        runs.extend([",".join(group)] if shared else group)
+    head = runs.pop(0) + "," if isinstance(runs[0], str) and len(runs) > 1 else ""
+    tail = "," + runs.pop() if isinstance(runs[-1], str) and len(runs) > 1 else ""
+    between = tail + "\n" + head
     with _text_stream(dest, "w") as stream:
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for start in range(0, len(dataset), _WRITE_ROWS):
-            part = slice(start, start + _WRITE_ROWS)
-            cells = (
-                *(map(repr, c[part].tolist()) for c in (dataset.freq, dataset.dist, dataset.pl)),
-                *(map(t.__getitem__, c[part].tolist())
-                  for t, c in zip(tokens, (dataset.pol, dataset.env, dataset.layout))),
-                *(_label_cells(c[part].tolist(), labels) for c in (dataset.tx_id, dataset.rx_id)),
-            )
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            part, size = slice(start, start + _WRITE_ROWS), min(_WRITE_ROWS, len(dataset) - start)
+            cells = [repeat(run, size) if isinstance(run, str) else run[0](run[1][part].tolist())
+                     for run in runs]
+            # one f-string, so no partial copy of the slice's text is held beside it
+            stream.write(f"{head}{between.join(map(','.join, zip(*cells)))}{tail}\n")
 
 
-def _finite(value, what: str):
+def _finite(value, *what: str):
     """A JSON number that is finite; NaN, Infinity, strings and booleans raise."""
     if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return value
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
+    raise ValueError(f"{' '.join(what)} must be a finite number, got {value!r}")
 
 
 _CLASSES = {**PARAMS_CLASSES, **{base + "X": XpdExtension for base in XPD_BASE_FAMILIES}}
 
 
-def _params_from_fields(obj: dict):
-    """A parameter record from its JSON object; an absent d0_m reads as 1 m."""
+def _params_from_fields(obj: dict, *what: str):
+    """A parameter record from its JSON object, named by what; an absent d0_m reads as 1 m."""
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"{' '.join(what)} must be a JSON object, got {type(obj).__name__}")
         model = obj["model"]
         if isinstance(model, str) and model in _CLASSES:
             cls, values = _CLASSES[model], []
             for name in cls._json_names:
                 value = obj.get(name, MIN_DISTANCE_M) if name == "d0_m" else obj[name]
-                values.append(_params_from_fields(value) if name == "base"
-                              else _finite(value, f"{model} parameter {name}"))
+                read = _params_from_fields if name == "base" else _finite
+                values.append(read(value, model, "parameter", name))
             return cls(*values)
     except DataError:  # an XPD base's own error, already prefixed
         raise
@@ -426,7 +442,7 @@ def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
         family, freq = obj["model"], obj.get("freq_ghz")
         if not isinstance(family, str):
             raise TypeError(f"model must be a string, got {family!r}")
-        params = _params_from_fields(obj["params"])
+        params = _params_from_fields(obj["params"], "params")
         freq_ghz = None if freq is None else _finite(freq, "freq_ghz")
         n_samples, source = obj.get("n_samples"), obj.get("source", "")
         if n_samples is not None and (type(n_samples) is not int or n_samples < 0):

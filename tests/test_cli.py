@@ -752,6 +752,23 @@ class TestParamsDocumentShape:
             assert run_main(argv)[:3] == (3, "", "data error: read_params_json: bad report row: "
                                                  "model 'CI' does not match its params' model 'FI'\n")
 
+    @pytest.mark.parametrize("value, kind", [("x", "str"), (5.0, "float"), (None, "NoneType"),
+                                             ([], "list")])
+    @pytest.mark.parametrize("field", ["base", "params"])
+    def test_non_object_params_are_data(self, tmp_path, field, value, kind):
+        def edit(rows):
+            row = next(r for r in rows if r["model"] == "CIX")
+            if field == "base":
+                row["params"]["base"] = value
+            else:
+                row["params"] = value
+        path = params_file(tmp_path, edit)
+        what = "CIX parameter base" if field == "base" else "params"
+        for argv in params_commands(path):
+            assert run_main(argv)[:3] == (3, "", "data error: read_params_json: bad parameter "
+                                                 f"object: {what} must be a JSON object, "
+                                                 f"got {kind}\n")
+
     @pytest.mark.parametrize("digits, message", [
         (400, "bad parameter object: CI parameter n must be a finite number, got 1000"),
         (5000, ""),  # over int's string digit limit where Python has one: invalid JSON
@@ -1133,9 +1150,13 @@ def fuzz_argv(draw, command, files):
                     required("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
                     optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
                     optional("--freq", FUZZ_NUMBERS), required("--dist", FUZZ_NUMBERS)],
-        "synth": [source, optional("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
+        # a drawn source and family, or a preset row that synth draws from
+        "synth": [st.tuples(required("--params", params) | required("--preset", FUZZ_PRESETS),
+                            required("--model", FUZZ_MODELS)).map(lambda t: t[0] + t[1])
+                  | SYNTH_MODELS.map(lambda pair: ["--preset", pair[0], "--model", pair[1]]),
+                  required("--scenario", FUZZ_SCENARIOS),
                   optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
-                  optional("--freqs", FUZZ_BLOCKS), optional("--dmin", FUZZ_NUMBERS),
+                  required("--freqs", FUZZ_BLOCKS | SYNTH_BLOCKS), optional("--dmin", FUZZ_NUMBERS),
                   optional("--dmax", FUZZ_NUMBERS),
                   optional("--seed", st.sampled_from(["0", "3", "-1", "x"]))],
     }[command]

@@ -253,17 +253,23 @@ def positive_floats(low=0.0):
 
 @st.composite
 def datasets(draw, n, freq, dist, pl, labels):
-    """n rows whose cells are drawn from small per-column pools of values."""
+    """n rows whose cells are drawn from small per-column pools of values.
+
+    Any column but one may instead be a 0-d value that every row shares, so
+    shared runs lead, end or sit inside the line in every layout.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = iter(draw(st.lists(st.booleans(), min_size=8, max_size=8).filter(
+        lambda flags: not all(flags))))
 
     def column(values):
         pool = draw(st.lists(values, min_size=1, max_size=8))
-        return [pool[i] for i in rng.integers(len(pool), size=n)]
+        return pool[0] if next(shared) else [pool[i] for i in rng.integers(len(pool), size=n)]
 
-    codes = [rng.integers(len(members), size=n)
+    floats = [column(values) for values in (freq, dist, pl)]
+    codes = [rng.integers(len(members), size=None if next(shared) else n)
              for members in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)]
-    return Dataset.from_columns(column(freq), column(dist), column(pl), *codes,
-                                column(labels), column(labels))
+    return Dataset.from_columns(*floats, *codes, column(labels), column(labels))
 
 
 def reference_csv(dataset):
@@ -327,6 +333,20 @@ class TestCsvWriterProperties:
         back, skipped = read_csv(io.StringIO(first))
         assert skipped == [] and len(back) == n
         assert first_difference(written(back), first) is None
+
+    @pytest.mark.parametrize("label", ["a,b", '"', "\r", None, ""])
+    @pytest.mark.parametrize("shared", [range(7), [6], range(3, 8)],
+                             ids=["leading", "inner", "trailing"])
+    @pytest.mark.parametrize("n", [1, 5, 1025])
+    def test_shared_label_is_quoted_like_csv_writer(self, n, shared, label):
+        rng = np.random.default_rng(n)
+        filled = [rng.uniform(1, 100, n), rng.uniform(1, 50, n), rng.uniform(40, 120, n),
+                  *(rng.integers(len(m), size=n) for m in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)),
+                  *(np.array([label, "x"] * n, object)[:n] for _ in range(2))]
+        dataset = Dataset.from_columns(*(c[0] if i in shared else c for i, c in enumerate(filled)))
+        assert [getattr(dataset, name).strides == (0,) for name in ("tx_id", "rx_id")] == [
+            6 in shared, 7 in shared]
+        assert first_difference(written(dataset), reference_csv(dataset)) is None
 
 
 # data row counts around read_csv's blocks and chunks of 4096 lines or rows
@@ -729,10 +749,12 @@ def reference_dumps_params(report):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_params_from_fields(obj):
+def reference_params_from_fields(obj, what="params"):
     """_params_from_fields with its per-field closure, the reference for the
     table-driven reader."""
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
         model = obj["model"]
 
         def num(name, default=None):
@@ -750,8 +772,8 @@ def reference_params_from_fields(obj):
             return CifParams(num("n"), num("b"), num("f0_ghz"),
                              num("sigma_db"), num("d0_m", 1.0))
         if model in ("CIX", "ABGX", "CIFX"):
-            return XpdExtension(reference_params_from_fields(obj["base"]),
-                                num("xpd_db"), num("sigma_db"))
+            base = reference_params_from_fields(obj["base"], f"{model} parameter base")
+            return XpdExtension(base, num("xpd_db"), num("sigma_db"))
     except DataError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -288,6 +288,24 @@ def test_shared_columns_behave_like_filled_ones():
     assert copy.deepcopy(ds) == ds
 
 
+def test_alternating_shared_and_filled_columns_write_alike():
+    # one frequency block, so freq may be shared too: shared runs lead the
+    # line, sit between filled columns and end it, over two write slices
+    ds = synthesize(spec(CiParams(2.0, 3.0), freqs=((28.0, 1500),), seed=5))
+    filled = filled_copy(ds)
+    shared = ("freq", "pol", "layout", "rx_id")
+    mixed = Dataset.from_columns(*(getattr(ds, name)[0] if name in shared
+                                   else getattr(filled, name) for name in COLUMNS))
+    assert [getattr(mixed, name).strides == (0,) for name in COLUMNS] == [
+        name in shared for name in COLUMNS]
+    texts = []
+    for dataset in (mixed, filled):
+        stream = io.StringIO()
+        write_csv(dataset, stream)
+        texts.append(stream.getvalue())
+    assert texts[0] == texts[1]
+
+
 def traced_peak(call, *args):
     """Run call(*args) and return (its result, the bytes its run peaked at).
 
