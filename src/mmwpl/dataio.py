@@ -196,7 +196,7 @@ def _parse_chunk(cells: list, numbers: np.ndarray, rejected: list[SkippedRow],
              for column, enum_cls in _TOKEN_COLUMNS]
     violations = sample_violations(freq, dist, pl)
     bad = np.logical_or.reduce([c < 0 for c in codes])
-    bad[list(chain(violations, *(errors for _, errors in floats)))] = True
+    bad[list(violations)] = True  # an unparseable number reads as NaN, which breaks a rule
     found = []
     for j in np.flatnonzero(bad).tolist():
         raw = [column[j] for column in cells]

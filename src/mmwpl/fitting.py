@@ -328,7 +328,8 @@ def fit_scenarios(
 
     families None fits all of those. A list of names from FIT_FAMILIES
     keeps only the named ones; a named ABG or CIF is also fitted on samples
-    of one frequency, so that the estimator's refusal is raised.
+    of one frequency, so that the estimator's refusal is raised. An empty
+    list, or a name outside FIT_FAMILIES, raises UsageError.
     f0_ghz is the CIF reference frequency, by default compute_f0's rule.
 
     Each selection's (environment, layout) group is selected once and its
@@ -345,6 +346,8 @@ def fit_scenarios(
             raise UsageError(
                 f"fit_scenarios: unknown families {unknown}; choose from {FIT_FAMILIES}"
             )
+        if not wanted:
+            raise UsageError(f"fit_scenarios: no families requested; choose from {FIT_FAMILIES}")
         per_freq = tuple(f for f in per_freq if f in wanted)
         pooled = tuple(f for f in pooled if f in wanted)
         one_freq = tuple(f for f in pooled if f not in per_freq)

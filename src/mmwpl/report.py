@@ -137,17 +137,11 @@ def delta_sigma(ci_row: FitRow, fi_row: FitRow) -> float:
     return gap
 
 
-def _fmt(value, decimals) -> str:
-    if value is None:
-        return "-"
-    return format_fixed(value, decimals)
-
-
 def _coefficient_cells(params, width: int) -> list[str]:
     """A record's fields before sigma_db, b to 2 decimals, f0_ghz whole, the rest to 1,
-    padded with "-" to width, an XPD base's to width - 1; all "-" for None."""
+    padded with "-" to width, an XPD base's to width - 1."""
     cells = []
-    for _, name, value in params.record() if params else ():
+    for _, name, value in params.record():
         if name == "sigma_db":
             break
         if name == "base":
@@ -190,6 +184,21 @@ class _Grid:
         return self._first.get(key)
 
 
+def _model_cells(row: Optional[FitRow], width: int) -> list[str]:
+    """A row's coefficient cells padded to width, then its sigma to one
+    decimal; all "-" for a missing row."""
+    if row is None:
+        return ["-"] * (width + 1)
+    return [*_coefficient_cells(row.params, width), format_fixed(row.sigma_db, 1)]
+
+
+def _rows(grid: _Grid, lookups, width: int) -> list[list[str]]:
+    """For each (lead cells, grid key) pair whose key has a row, the lead
+    cells followed by that row's model cells."""
+    return [[*lead, *_model_cells(row, width)] for lead, key in lookups
+            if (row := grid.first(*key)) is not None]
+
+
 def _table3_body(grid: _Grid) -> list[list[str]]:
     body, first = [], grid.first
     for freq in grid.freqs:
@@ -205,59 +214,33 @@ def _table3_body(grid: _Grid) -> list[list[str]]:
                         gap = delta_sigma(ci, fi)
                     except DataError:
                         pass
-                body.append([
-                    _freq_label(freq), LABELS[pol], LABELS[env], LABELS[layout],
-                    *_coefficient_cells(ci and ci.params, 1),
-                    _fmt(ci.sigma_db if ci else None, 1),
-                    *_coefficient_cells(fi and fi.params, 2),
-                    _fmt(fi.sigma_db if fi else None, 1),
-                    _fmt(gap, 1),
-                ])
+                body.append([_freq_label(freq), LABELS[pol], LABELS[env], LABELS[layout],
+                             *_model_cells(ci, 1), *_model_cells(fi, 2),
+                             "-" if gap is None else format_fixed(gap, 1)])
     return body
 
 
 def _table4_body(grid: _Grid) -> list[list[str]]:
-    body, vh = [], PolarizationClass.VH
-    for freq in grid.freqs:
-        for env, layout in grid.pairs:
-            row = grid.first("CIX", env, layout, vh, freq)
-            if row is None:
-                continue
-            body.append([
-                _freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout],
-                *_coefficient_cells(row.params, 2), _fmt(row.sigma_db, 1),
-            ])
-    return body
+    vh = PolarizationClass.VH
+    return _rows(grid, (([_freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout]],
+                         ("CIX", env, layout, vh, freq))
+                        for freq in grid.freqs for env, layout in grid.pairs), 2)
 
 
 def _table5_body(grid: _Grid) -> list[list[str]]:
-    body, vv, vh = [], PolarizationClass.VV, PolarizationClass.VH
+    vv, vh = PolarizationClass.VV, PolarizationClass.VH
     # each pooled family's V-V row, then its XPD extension's V-H row
     order = [pair for base in POOLED_FAMILIES for pair in ((base, vv), (base + "X", vh))]
-    for env, layout in grid.pairs:
-        for family, pol in order:
-            row = grid.first(family, env, layout, pol, None)
-            if row is None:
-                continue
-            body.append([
-                LABELS[env], LABELS[layout], family, LABELS[pol],
-                *_coefficient_cells(row.params, 4), _fmt(row.sigma_db, 1),
-            ])
-    return body
+    return _rows(grid, (([LABELS[env], LABELS[layout], family, LABELS[pol]],
+                         (family, env, layout, pol, None))
+                        for env, layout in grid.pairs for family, pol in order), 4)
 
 
 def _table6_body(grid: _Grid) -> list[list[str]]:
-    body, combined = [], PolarizationClass.COMBINED
-    for family in POOLED_FAMILIES:
-        for env, layout in grid.pairs:
-            row = grid.first(family, env, layout, combined, None)
-            if row is None:
-                continue
-            body.append([
-                family, LABELS[env], LABELS[layout],
-                *_coefficient_cells(row.params, 3), _fmt(row.sigma_db, 1),
-            ])
-    return body
+    combined = PolarizationClass.COMBINED
+    return _rows(grid, (([family, LABELS[env], LABELS[layout]],
+                         (family, env, layout, combined, None))
+                        for family in POOLED_FAMILIES for env, layout in grid.pairs), 3)
 
 
 _STYLE_HEADERS = {

@@ -242,6 +242,9 @@ _COLUMN_DTYPES = {
     "rx_id": object,
 }
 
+# the members each code column indexes
+_CODED_COLUMNS = {"pol": POLARIZATIONS, "env": ENVIRONMENTS, "layout": LAYOUTS}
+
 
 class Dataset:
     """An immutable collection of samples plus a provenance note.
@@ -250,7 +253,8 @@ class Dataset:
     pl (float64, in GHz, m and dB); pol, env and layout (int8 codes, the
     member's index in POLARIZATIONS, ENVIRONMENTS and LAYOUTS); tx_id and
     rx_id (object, a label or None). Dataset(samples, provenance) builds the
-    columns from PathLossSample rows; from_columns takes them ready-made.
+    columns from PathLossSample rows; from_columns takes them ready-made and
+    refuses a pol, env or layout code that indexes no member.
     A column that holds one value for every sample may be a shared
     read-only view of that one value (stride 0); its nbytes still counts
     the logical size, one item per sample. Iteration and .samples give
@@ -282,6 +286,9 @@ class Dataset:
         copied, and become read-only. A 0-d column (a scalar) is one value
         shared by every sample: it is kept once, as a read-only zero-stride
         view with the other columns' length. At least one column must be 1-d.
+        A pol, env or layout code outside 0..len(members) - 1 raises
+        ValueError naming the column. Every check runs before any column is
+        taken, so a refused call leaves the caller's arrays writeable.
         """
         dataset = cls.__new__(cls)
         dataset._assign(provenance, freq, dist, pl, pol, env, layout, tx_id, rx_id)
@@ -299,7 +306,12 @@ class Dataset:
         if len(lengths) != 1:
             raise ValueError("Dataset columns differ in length")
         n = lengths.pop()
-        for name, array in zip(_COLUMN_DTYPES, arrays):
+        by_name = dict(zip(_COLUMN_DTYPES, arrays))
+        for name, members in _CODED_COLUMNS.items():
+            codes = by_name[name]
+            if codes.size and not 0 <= codes.min() <= codes.max() < len(members):
+                raise ValueError(f"Dataset column {name} holds a code outside 0..{len(members) - 1}")
+        for name, array in by_name.items():
             if array.ndim == 0:
                 array = np.broadcast_to(array, (n,))  # read-only already
             else:

@@ -1068,7 +1068,9 @@ class TestClosedStdout:
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Inputs the fuzzed commands read: CSVs of one and of two frequencies,
-    one below 0.5 GHz, a fitted params JSON, an empty one, and a missing path."""
+    one below 0.5 GHz, CRLF, BOM, quoted-label, ragged, mistokened and
+    header-only CSVs, a fitted params JSON, an empty one, params documents of
+    the wrong schema or shape or nested 100 000 deep, and a missing path."""
     base = tmp_path_factory.mktemp("fuzz")
     vv = synthesize(SynthesisSpec(CiParams(2.5, 4.0), NLOS_CO_VV, ((28.0, 6), (73.0, 6)),
                                   (3.9, 45.9), seed=7))
@@ -1078,9 +1080,27 @@ def fuzz_files(tmp_path_factory):
     dataio.write_csv(Dataset(vv.samples[:6]), base / "single.csv")
     write_rows(base / "low.csv", [f"{f},{d},{40.0 + 2.0 * d},VV,LOS,CO"
                                   for f in (0.1, 0.2) for d in (2, 5, 9)])
+    both = (base / "both.csv").read_text(encoding="utf-8")
+    (base / "crlf.csv").write_bytes(both.replace("\n", "\r\n").encode("utf-8"))
+    (base / "bom.csv").write_text("\ufeff" + both, encoding="utf-8")
+    (base / "quoted.csv").write_text(CSV_HEADER + "\n" + "".join(
+        f'{f},{d},{60.0 + 2.0 * d},VV,NLOS,CO,"TX,1","R""X"\n'
+        for f in (28, 73) for d in (4, 9, 20)), encoding="utf-8")
+    write_rows(base / "ragged.csv", ["28,5,80,VV,NLOS,CO", "", "28,9", "28,9,90,VV,NLOS,CO,a,b,c",
+                                     ",,,,,", "73,9,95,VV,NLOS,CO", "73,20,110,VV,NLOS,CO"])
+    write_rows(base / "mistokened.csv", ["28,5,80,vv,NLOS,CO", "28,9,90,VV,Nlos,CO",
+                                         "73,9,95,VV,NLOS,corridor", "73,5m,85,VV,NLOS,CO",
+                                         "73,20,110,VV,NLOS,CO", "28,20,100,VV,NLOS,CO"])
+    write_rows(base / "header.csv", [])
     assert run_main(["fit", "--input", str(base / "both.csv"),
                      "--output", str(base / "params.json")])[0] == 0
     (base / "empty.json").write_text('{"schema_version": 1, "rows": []}', encoding="utf-8")
+    rows = json.loads((base / "params.json").read_text(encoding="utf-8"))["rows"]
+    for name, doc in [("v2.json", {"schema_version": 2, "rows": rows}),
+                      ("rows_object.json", {"schema_version": 1, "rows": {"0": rows[0]}}),
+                      ("row_not_object.json", {"schema_version": 1, "rows": [rows[0], 5]})]:
+        (base / name).write_text(json.dumps(doc), encoding="utf-8")
+    (base / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     return base
 
 
@@ -1130,9 +1150,11 @@ def fuzz_params_json(draw, files):
 @st.composite
 def fuzz_argv(draw, command, files):
     """One command line: mostly well-formed flags with edge-case values."""
-    path = st.sampled_from(["both.csv", "single.csv", "low.csv", "params.json", "missing.csv"]
-                           ).map(lambda name: str(files / name))
-    params = st.sampled_from(["params.json", "empty.json", "both.csv", "missing.json"]
+    path = st.sampled_from(["both.csv", "single.csv", "low.csv", "crlf.csv", "bom.csv",
+                            "quoted.csv", "ragged.csv", "mistokened.csv", "header.csv",
+                            "params.json", "missing.csv"]).map(lambda name: str(files / name))
+    params = st.sampled_from(["params.json", "empty.json", "v2.json", "rows_object.json",
+                              "row_not_object.json", "deep.json", "both.csv", "missing.json"]
                              ).map(lambda name: str(files / name)) | fuzz_params_json(files)
     source = st.one_of(optional("--preset", FUZZ_PRESETS), optional("--params", params))
     parts = {
@@ -1169,8 +1191,10 @@ class TestArgvFuzz:
     @given(data=st.data())
     def test_exit_code_is_classified(self, fuzz_files, command, data):
         argv = data.draw(fuzz_argv(command, fuzz_files))
-        code, _, err, caught = run_main(argv)
+        code, out, err, caught = run_main(argv)
         assert code in (0, 2, 3, 4)
+        if code == 0:  # a second call in the same process gives the same bytes
+            assert run_main(argv)[:3] == (code, out, err)
         assert caught == []
         assert "Traceback" not in err and "Warning" not in err
         if code != 0 and not err.startswith("usage: "):  # argparse's own refusal

@@ -658,6 +658,13 @@ class TestFitScenarios:
         with pytest.raises(UsageError, match="unknown families"):
             fit_scenarios(Dataset((mk(28.0, 5.0, 80.0),)), families=["CIX"])
 
+    def test_an_empty_family_list_is_usage(self):
+        ds = dataset_from(CiParams(2.0, 0.0), (28.0, 73.0), (2.0, 5.0, 9.0))
+        with pytest.raises(UsageError) as info:
+            fit_scenarios(ds, families=[])
+        assert str(info.value) == ("fit_scenarios: no families requested; "
+                                   "choose from ('CI', 'FI', 'ABG', 'CIF')")
+
     def test_empty_selection_is_data(self):
         ds = dataset_from(CiParams(2.0, 0.0), (28.0,), (2.0, 5.0))
         with pytest.raises(DataError, match="no scenario partition"):

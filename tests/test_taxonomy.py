@@ -274,6 +274,21 @@ class TestDataset:
             Dataset.from_columns(freq, dist, pl, 0, 0, 0, None, None)
         assert all(column.flags.writeable for column in (freq, dist, pl))
 
+    @pytest.mark.parametrize("shape", ["1-d", "0-d"])
+    @pytest.mark.parametrize("past_end", [False, True])
+    @pytest.mark.parametrize("name, members", [("pol", Polarization), ("env", Environment),
+                                               ("layout", Layout)])
+    def test_from_columns_refuses_a_code_outside_its_enum(self, name, members, past_end, shape):
+        code = len(members) if past_end else -1
+        freq, dist, pl = np.array([28.0, 73.0]), np.array([4.0, 8.0]), np.array([70.0, 80.0])
+        codes = {column: np.zeros(2, dtype=np.int8) for column in ("pol", "env", "layout")}
+        codes[name] = np.array([0, code], np.int8) if shape == "1-d" else np.array(code, np.int8)
+        ids = np.array([None, None], dtype=object)
+        message = f"^Dataset column {name} holds a code outside 0..{len(members) - 1}$"
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_columns(freq, dist, pl, *codes.values(), ids, ids)
+        assert all(column.flags.writeable for column in (freq, dist, pl, *codes.values(), ids))
+
     def test_from_columns_shares_a_0d_column(self):
         freq = np.array([28.0, 73.0, 28.0])
         ds = Dataset.from_columns(freq, freq * 0.1, freq + 40.0, 1, np.int8(0), 2, None, "tx")
