@@ -39,15 +39,16 @@ from .numformat import round_half_away
 from .report import FitReport, FitRow
 from .taxonomy import (
     CODE,
-    ENVIRONMENTS,
     LAYOUTS,
     MIN_DISTANCE_M,
+    PAIRS,
     Dataset,
+    Environment,
+    Layout,
     Polarization,
     PolarizationClass,
     ScenarioKey,
     ensure_fit_ready,
-    ordered_pairs,
 )
 
 # a column whose part orthogonal to the earlier columns keeps at most this
@@ -317,14 +318,15 @@ def fit_scenarios(
     """Fit model families per scenario, the way the paper tabulates them.
 
     selections lists (Environment, Layout, PolarizationClass or None)
-    triples; None takes every (environment, layout) pair in the data, the
-    measured pairs first. A selection without a polarization fits V-V, V-H
-    and, when both are present, Combined; a scenario an earlier selection
-    already fitted is not fitted again. Each polarization's samples are
-    fitted per frequency with PER_FREQUENCY_FAMILIES (CI, FI) and, when they
-    span several frequencies, pooled with POOLED_FAMILIES (CI, CIF, ABG), in
-    that order. A V-H fit of an XPD_BASE_FAMILIES family whose V-V fit of the
-    same pair and frequency class came earlier also gets its XPD extension.
+    tuples, and any other selection raises UsageError; None walks PAIRS,
+    the measured pairs first, and a pair without samples adds no rows. A
+    selection without a polarization fits V-V, V-H and, when both are
+    present, Combined; a scenario an earlier selection already fitted is
+    not fitted again. Each polarization's samples are fitted per frequency
+    with PER_FREQUENCY_FAMILIES (CI, FI) and, when they span several
+    frequencies, pooled with POOLED_FAMILIES (CI, CIF, ABG), in that order.
+    A V-H fit of an XPD_BASE_FAMILIES family whose V-V fit of the same pair
+    and frequency class came earlier also gets its XPD extension.
 
     families None fits all of those. A list of names from FIT_FAMILIES
     keeps only the named ones; a named ABG or CIF is also fitted on samples
@@ -351,14 +353,20 @@ def fit_scenarios(
         per_freq = tuple(f for f in per_freq if f in wanted)
         pooled = tuple(f for f in pooled if f in wanted)
         one_freq = tuple(f for f in pooled if f not in per_freq)
+    if selections is None:
+        selections = [(env, layout, None) for env, layout in PAIRS]
+    else:
+        selections = tuple(selections)
+        for selection in selections:
+            if not (isinstance(selection, tuple) and len(selection) == 3
+                    and isinstance(selection[0], Environment)
+                    and isinstance(selection[1], Layout)
+                    and isinstance(selection[2], (PolarizationClass, type(None)))):
+                raise UsageError(f"fit_scenarios: selection {selection!r} is not "
+                                 "(Environment, Layout, PolarizationClass or None)")
     if len(dataset):
         ensure_fit_ready(dataset, "fit_scenarios")
     pair_code = dataset.env * len(LAYOUTS) + dataset.layout
-    if selections is None:
-        codes, first = np.unique(pair_code, return_index=True)
-        present = (divmod(code, len(LAYOUTS)) for code in codes[np.argsort(first)].tolist())
-        selections = [(env, layout, None) for env, layout
-                      in ordered_pairs((ENVIRONMENTS[e], LAYOUTS[lo]) for e, lo in present)]
     rows: list[FitRow] = []
     bases: dict = {}
     fitted: set = set()  # scenario keys done, so a repeated selection adds no rows

@@ -30,7 +30,7 @@ from typing import Optional, Union
 from .errors import DataError, NumericalError, UsageError
 from .models import POOLED_FAMILIES
 from .numformat import format_fixed
-from .taxonomy import LABELS, PolarizationClass, ScenarioKey, ordered_pairs
+from .taxonomy import LABELS, PAIRS, PolarizationClass, ScenarioKey
 
 TABLE_STYLES = ("table3", "table4", "table5", "table6")
 
@@ -165,8 +165,8 @@ def _render(headers: list[str], body: list[list[str]]) -> str:
 class _Grid:
     """What every table body reads, computed once per render: the first row
     of each plain (family, environment, layout, polarization class,
-    freq_ghz) key, the environment/layout pairs to render (measured pairs
-    first) and the sorted distinct frequencies a row can match."""
+    freq_ghz) key and the sorted distinct frequencies a row can match. The
+    bodies walk the environment/layout pairs in PAIRS order."""
 
     def __init__(self, report: FitReport):
         self._first: dict = {}
@@ -174,7 +174,6 @@ class _Grid:
             scenario = row.scenario
             self._first.setdefault((row.family, scenario.environment, scenario.layout,
                                     scenario.polarization_class, row.freq_ghz), row)
-        self.pairs = ordered_pairs((r.scenario.environment, r.scenario.layout) for r in report.rows)
         self.freqs = sorted({r.freq_ghz for r in report.rows
                              if r.freq_ghz is not None and r.freq_ghz == r.freq_ghz})
 
@@ -192,18 +191,11 @@ def _model_cells(row: Optional[FitRow], width: int) -> list[str]:
     return [*_coefficient_cells(row.params, width), format_fixed(row.sigma_db, 1)]
 
 
-def _rows(grid: _Grid, lookups, width: int) -> list[list[str]]:
-    """For each (lead cells, grid key) pair whose key has a row, the lead
-    cells followed by that row's model cells."""
-    return [[*lead, *_model_cells(row, width)] for lead, key in lookups
-            if (row := grid.first(*key)) is not None]
-
-
 def _table3_body(grid: _Grid) -> list[list[str]]:
     body, first = [], grid.first
     for freq in grid.freqs:
         for pol in PolarizationClass:
-            for env, layout in grid.pairs:
+            for env, layout in PAIRS:
                 ci = first("CI", env, layout, pol, freq)
                 fi = first("FI", env, layout, pol, freq)
                 if ci is None and fi is None:
@@ -222,25 +214,25 @@ def _table3_body(grid: _Grid) -> list[list[str]]:
 
 def _table4_body(grid: _Grid) -> list[list[str]]:
     vh = PolarizationClass.VH
-    return _rows(grid, (([_freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout]],
-                         ("CIX", env, layout, vh, freq))
-                        for freq in grid.freqs for env, layout in grid.pairs), 2)
+    return [[_freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout], *_model_cells(row, 2)]
+            for freq in grid.freqs for env, layout in PAIRS
+            if (row := grid.first("CIX", env, layout, vh, freq)) is not None]
 
 
 def _table5_body(grid: _Grid) -> list[list[str]]:
     vv, vh = PolarizationClass.VV, PolarizationClass.VH
     # each pooled family's V-V row, then its XPD extension's V-H row
     order = [pair for base in POOLED_FAMILIES for pair in ((base, vv), (base + "X", vh))]
-    return _rows(grid, (([LABELS[env], LABELS[layout], family, LABELS[pol]],
-                         (family, env, layout, pol, None))
-                        for env, layout in grid.pairs for family, pol in order), 4)
+    return [[LABELS[env], LABELS[layout], family, LABELS[pol], *_model_cells(row, 4)]
+            for env, layout in PAIRS for family, pol in order
+            if (row := grid.first(family, env, layout, pol, None)) is not None]
 
 
 def _table6_body(grid: _Grid) -> list[list[str]]:
     combined = PolarizationClass.COMBINED
-    return _rows(grid, (([family, LABELS[env], LABELS[layout]],
-                         (family, env, layout, combined, None))
-                        for family in POOLED_FAMILIES for env, layout in grid.pairs), 3)
+    return [[family, LABELS[env], LABELS[layout], *_model_cells(row, 3)]
+            for family in POOLED_FAMILIES for env, layout in PAIRS
+            if (row := grid.first(family, env, layout, combined, None)) is not None]
 
 
 _STYLE_HEADERS = {

@@ -10,6 +10,7 @@ V-H samples.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -151,6 +152,11 @@ MEASURED_PAIRS: tuple[tuple[Environment, Layout], ...] = (
     (Environment.NLOS, Layout.CLOSED_PLAN),
 )
 
+# Every (environment, layout) pair in table order, the measured pairs first;
+# default fits and every table walk it, whatever pairs the data holds.
+PAIRS: tuple[tuple[Environment, Layout], ...] = MEASURED_PAIRS + tuple(
+    p for p in itertools.product(Environment, Layout) if p not in MEASURED_PAIRS)
+
 
 def measured_scenarios() -> tuple[ScenarioKey, ...]:
     """The 15 scenario keys with data: 5 (environment, layout) pairs x 3 classes.
@@ -216,14 +222,6 @@ def parse_scenario(text: str, need_pol: bool = False):
     return ENV_TOKENS[parts[0]], LAYOUT_TOKENS[parts[1]], pol
 
 
-def ordered_pairs(present: Iterable[tuple[Environment, Layout]]) -> list[tuple[Environment, Layout]]:
-    """The distinct (environment, layout) pairs of present: the measured
-    pairs first, in MEASURED_PAIRS order, then the others in order of
-    appearance."""
-    seen = dict.fromkeys(present)
-    return [p for p in MEASURED_PAIRS if p in seen] + [p for p in seen if p not in MEASURED_PAIRS]
-
-
 # Column codes: a member's code is its position in its enum's definition order.
 POLARIZATIONS: tuple[Polarization, ...] = tuple(Polarization)
 ENVIRONMENTS: tuple[Environment, ...] = tuple(Environment)
@@ -286,16 +284,20 @@ class Dataset:
         copied, and become read-only. A 0-d column (a scalar) is one value
         shared by every sample: it is kept once, as a read-only zero-stride
         view with the other columns' length. At least one column must be 1-d.
-        A pol, env or layout code outside 0..len(members) - 1 raises
-        ValueError naming the column. Every check runs before any column is
-        taken, so a refused call leaves the caller's arrays writeable.
+        A pol, env or layout value that is not exactly an integer in
+        0..len(members) - 1 (a fraction, NaN, an infinity, a non-numeric
+        value, or an integer the int8 code would wrap) raises ValueError
+        naming the column; the caller's values are checked before the cast.
+        Every check runs before any column is taken, so a refused call
+        leaves the caller's arrays writeable.
         """
         dataset = cls.__new__(cls)
         dataset._assign(provenance, freq, dist, pl, pol, env, layout, tx_id, rx_id)
         return dataset
 
     def _assign(self, provenance: str, *columns) -> None:
-        arrays = [np.asarray(values, dtype=dtype)
+        # code columns keep the caller's dtype until checked: the int8 cast wraps
+        arrays = [np.asarray(values) if dtype is np.int8 else np.asarray(values, dtype=dtype)
                   for dtype, values in zip(_COLUMN_DTYPES.values(), columns)]
         # checked first, so a refused call leaves the caller's arrays writeable
         if any(array.ndim > 1 for array in arrays):
@@ -309,8 +311,12 @@ class Dataset:
         by_name = dict(zip(_COLUMN_DTYPES, arrays))
         for name, members in _CODED_COLUMNS.items():
             codes = by_name[name]
-            if codes.size and not 0 <= codes.min() <= codes.max() < len(members):
+            # NaN and infinities fail the range test, so % 1 only sees finite floats
+            if codes.size and not (codes.dtype.kind in "biuf"
+                                   and 0 <= codes.min() <= codes.max() < len(members)
+                                   and (codes.dtype.kind != "f" or (codes % 1 == 0).all())):
                 raise ValueError(f"Dataset column {name} holds a code outside 0..{len(members) - 1}")
+            by_name[name] = codes.astype(np.int8, copy=False)
         for name, array in by_name.items():
             if array.ndim == 0:
                 array = np.broadcast_to(array, (n,))  # read-only already

@@ -1108,6 +1108,10 @@ FUZZ_NUMBERS = st.sampled_from(["28", "50", "3.9", "45.9", "1", "0.5", "0", "-0"
                                 "1e-300", "1e308", "inf", "nan", "x"])
 FUZZ_SCENARIOS = st.sampled_from(["NLOS:CO", "nlos:co:vh", "NLOS:CO:Comb", "NLOS:CO:VV",
                                   "LOS:CP", "LOS:CP:VV", "NLOS", "XLOS:CO", "NLOS:CO:HH", ""])
+# numbers that parse oddly or not at all: signed zero, the least subnormal, an
+# underscore, full-width digits, NaN, the infinities and an overflowing literal
+HOSTILE_NUMBERS = st.sampled_from(["0", "-0", "5e-324", "1_0", "\uff12\uff18", "nan", "inf",
+                                   "-inf", "1e400"])
 FUZZ_PRESETS = st.sampled_from(["table3:28:VV:NLOS:CO", "table5:nlos-cp", "table5::nlos-cp",
                                 "table3", "table4:73", "table6", "table3:multi", "table9", ""])
 FUZZ_MODELS = st.sampled_from(["CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX", "ci", "XX"])
@@ -1116,14 +1120,23 @@ FUZZ_BLOCKS = st.lists(
     st.tuples(st.sampled_from(["28", "73", "0.3", "0.001", "1e30", "1e308", "nan", "-5", "x", ""]),
               st.sampled_from([":1", ":3", ":5", ":0", ":-2", ":x", ":", ""])).map("".join),
     max_size=3).map(",".join)
+# blocks of hostile frequencies and counts; a count is at most 28 samples
+HOSTILE_BLOCKS = st.lists(
+    st.tuples(HOSTILE_NUMBERS | st.just("28"), HOSTILE_NUMBERS.map(":{}".format) | st.just(":2")
+              ).map("".join), min_size=1, max_size=3).map(",".join)
 
 
 def required(flag, values):
     return values.map(lambda value: [flag, value])
 
 
-def optional(flag, values):
-    return st.one_of(st.just([]), required(flag, values))
+def joined(flag, values):
+    """flag=value as one token, so that argparse passes on a value such as -inf."""
+    return values.map(lambda value: [f"{flag}={value}"])
+
+
+def optional(flag, values, form=required):
+    return st.one_of(st.just([]), form(flag, values))
 
 
 @st.composite
@@ -1172,15 +1185,19 @@ def fuzz_argv(draw, command, files):
                     required("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
                     optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
                     optional("--freq", FUZZ_NUMBERS), required("--dist", FUZZ_NUMBERS)],
-        # a drawn source and family, or a preset row that synth draws from
+        # a drawn source, family and scenario, or a preset row that synth draws
+        # from and a scenario it accepts, so that the numbers reach synth
         "synth": [st.tuples(required("--params", params) | required("--preset", FUZZ_PRESETS),
-                            required("--model", FUZZ_MODELS)).map(lambda t: t[0] + t[1])
-                  | SYNTH_MODELS.map(lambda pair: ["--preset", pair[0], "--model", pair[1]]),
-                  required("--scenario", FUZZ_SCENARIOS),
+                            required("--model", FUZZ_MODELS), required("--scenario", FUZZ_SCENARIOS)
+                            ).map(lambda t: t[0] + t[1] + t[2])
+                  | st.tuples(SYNTH_MODELS, st.sampled_from(["NLOS:CO:VV", "nlos:co:vh"])).map(
+                      lambda t: ["--preset", t[0][0], "--model", t[0][1], "--scenario", t[1]]),
                   optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
-                  required("--freqs", FUZZ_BLOCKS | SYNTH_BLOCKS), optional("--dmin", FUZZ_NUMBERS),
-                  optional("--dmax", FUZZ_NUMBERS),
-                  optional("--seed", st.sampled_from(["0", "3", "-1", "x"]))],
+                  joined("--freqs", FUZZ_BLOCKS | SYNTH_BLOCKS | HOSTILE_BLOCKS),
+                  optional("--dmin", FUZZ_NUMBERS | HOSTILE_NUMBERS, joined),
+                  optional("--dmax", FUZZ_NUMBERS | HOSTILE_NUMBERS, joined),
+                  optional("--seed", st.sampled_from(["0", "3", "-1", "x"]) | HOSTILE_NUMBERS,
+                           joined)],
     }[command]
     return [command, *(token for part in parts for token in draw(part))]
 

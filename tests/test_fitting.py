@@ -665,6 +665,21 @@ class TestFitScenarios:
         assert str(info.value) == ("fit_scenarios: no families requested; "
                                    "choose from ('CI', 'FI', 'ABG', 'CIF')")
 
+    @pytest.mark.parametrize("selection", [
+        (Layout.OPEN_PLAN, Environment.NLOS, None),
+        ("NLOS", "OP", None),
+        (Environment.NLOS, Layout.OPEN_PLAN, Polarization.VV),
+        (Environment.NLOS, Layout.OPEN_PLAN),
+    ], ids=["swapped", "tokens", "sample-polarization", "pair"])
+    def test_a_malformed_selection_is_usage(self, selection):
+        # NLOS:OP holds samples, so a selection read loosely would fit them
+        ds = Dataset(tuple(dataclasses.replace(s, layout=Layout.OPEN_PLAN) for s in
+                           dataset_from(CiParams(2.0, 0.0), (28.0,), (2.0, 5.0)).samples))
+        with pytest.raises(UsageError) as info:
+            fit_scenarios(ds, [selection])
+        assert str(info.value) == (f"fit_scenarios: selection {selection!r} is not "
+                                   "(Environment, Layout, PolarizationClass or None)")
+
     def test_empty_selection_is_data(self):
         ds = dataset_from(CiParams(2.0, 0.0), (28.0,), (2.0, 5.0))
         with pytest.raises(DataError, match="no scenario partition"):

@@ -60,3 +60,32 @@ def test_only_dataio_opens_files(path):
         assert calls  # the check sees dataio's own open
     else:
         assert calls == []
+
+
+def top_level_names(tree):
+    """The names a module's own top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for target in targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+
+
+def test_every_private_name_is_used():
+    """A private helper whose last reader is gone goes with it: every
+    top-level _name a module defines is read, as a name or an attribute,
+    somewhere in the package."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    defined = {name for tree in trees for name in top_level_names(tree)
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined, "the check sees the package's private names"
+    assert sorted(defined - read) == []

@@ -23,11 +23,11 @@ from mmwpl.report import (
 )
 from mmwpl.taxonomy import (
     LABELS,
+    MEASURED_PAIRS,
     Environment,
     Layout,
     PolarizationClass,
     ScenarioKey,
-    ordered_pairs,
 )
 
 KEY = ScenarioKey(Environment.NLOS, Layout.CORRIDOR, PolarizationClass.VV)
@@ -277,7 +277,9 @@ def reference_grid(report):
     """The pairs and frequencies to render. A NaN frequency equals no find
     query, so its rows fill no cell; it is left out of the sorted list,
     where it would leave the other frequencies out of order."""
-    pairs = ordered_pairs((r.scenario.environment, r.scenario.layout) for r in report.rows)
+    seen = dict.fromkeys((r.scenario.environment, r.scenario.layout) for r in report.rows)
+    # the measured pairs first, then the others in order of appearance
+    pairs = [p for p in MEASURED_PAIRS if p in seen] + [p for p in seen if p not in MEASURED_PAIRS]
     freqs = sorted({r.freq_ghz for r in report.rows
                     if r.freq_ghz is not None and r.freq_ghz == r.freq_ghz})
     return pairs, freqs

@@ -1,6 +1,7 @@
 """Sample validation, scenario keys, and dataset partitioning."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -18,6 +19,7 @@ from mmwpl.taxonomy import (
     LABELS,
     LAYOUT_TOKENS,
     MEASURED_PAIRS,
+    PAIRS,
     POL_TOKENS,
     Dataset,
     Environment,
@@ -28,7 +30,6 @@ from mmwpl.taxonomy import (
     ScenarioKey,
     ensure_fit_ready,
     measured_scenarios,
-    ordered_pairs,
     parse_scenario,
     partition_by_scenario,
     sample_violations,
@@ -289,6 +290,29 @@ class TestDataset:
             Dataset.from_columns(freq, dist, pl, *codes.values(), ids, ids)
         assert all(column.flags.writeable for column in (freq, dist, pl, *codes.values(), ids))
 
+    @pytest.mark.parametrize("shape", ["1-d", "0-d"])
+    @pytest.mark.parametrize("value", [256, -255, 257, 0.7, 1.9, np.nan, np.inf, -np.inf, "1"])
+    @pytest.mark.parametrize("name, members", [("pol", Polarization), ("env", Environment),
+                                               ("layout", Layout)])
+    def test_from_columns_checks_codes_before_the_int8_cast(self, name, members, value, shape):
+        # int8 would wrap 256 to 0 and truncate 1.9 to 1
+        freq, dist, pl = np.array([28.0, 73.0]), np.array([4.0, 8.0]), np.array([70.0, 80.0])
+        codes = {column: np.zeros(2, dtype=np.int8) for column in ("pol", "env", "layout")}
+        codes[name] = np.array([0, value]) if shape == "1-d" else np.array(value)
+        message = f"^Dataset column {name} holds a code outside 0..{len(members) - 1}$"
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_columns(freq, dist, pl, *codes.values(), None, None)
+        assert all(column.flags.writeable for column in (freq, dist, pl, *codes.values()))
+
+    def test_from_columns_takes_whole_codes_of_any_numeric_dtype(self):
+        ds = Dataset.from_columns(np.array([28.0, 73.0]), np.array([4.0, 8.0]),
+                                  np.array([70.0, 80.0]), np.array([1.0, 0.0]),
+                                  np.array([True, False]), np.array([2, 1], np.uint64), None, None)
+        assert ds.pol.dtype == ds.env.dtype == ds.layout.dtype == np.int8
+        assert [(s.polarization, s.environment, s.layout) for s in ds] == [
+            (Polarization.VH, Environment.NLOS, Layout.CLOSED_PLAN),
+            (Polarization.VV, Environment.LOS, Layout.OPEN_PLAN)]
+
     def test_from_columns_shares_a_0d_column(self):
         freq = np.array([28.0, 73.0, 28.0])
         ds = Dataset.from_columns(freq, freq * 0.1, freq + 40.0, 1, np.int8(0), 2, None, "tx")
@@ -369,10 +393,7 @@ class TestVocabulary:
         for members in (Polarization, Environment, Layout):
             assert [CODE[m] for m in members] == list(range(len(members)))
 
-    def test_ordered_pairs(self):
-        los_cp = (Environment.LOS, Layout.CLOSED_PLAN)
-        nlos_cp, los_co = MEASURED_PAIRS[4], MEASURED_PAIRS[0]
-        assert ordered_pairs([los_cp, nlos_cp, los_co, los_cp, nlos_cp]) == [
-            los_co, nlos_cp, los_cp]
-        assert ordered_pairs(reversed(MEASURED_PAIRS)) == list(MEASURED_PAIRS)
-        assert ordered_pairs([]) == []
+    def test_pairs(self):
+        assert PAIRS[:len(MEASURED_PAIRS)] == MEASURED_PAIRS
+        # each pair exactly once, so no pair drops out of default fits and tables
+        assert sorted(PAIRS, key=str) == sorted(itertools.product(Environment, Layout), key=str)
