@@ -218,43 +218,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit model families to a CSV dataset")
-    fit.add_argument("--input", required=True, help="sample CSV path")
+    # each shared option once, on parents built per call: no two calls share an Action
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--input", required=True, help="sample CSV path")
+    samples.add_argument("--mode", choices=("strict", "lax"), default="strict",
+                         help="CSV ingestion mode (default strict)")
+    samples.add_argument("--f0", type=float,
+                         help="CIF reference frequency in GHz (default: count-weighted mean)")
+    source = argparse.ArgumentParser(add_help=False)
+    src = source.add_mutually_exclusive_group(required=True)
+    src.add_argument("--params", help="params JSON from a fit run")
+    src.add_argument("--preset", help="published preset selector, e.g. table5:nlos-cp")
+    row = argparse.ArgumentParser(add_help=False, parents=[source])  # what _resolve_model reads
+    row.add_argument("--model", required=True, help="model family, e.g. CI")
+    row.add_argument("--fit-freq", help="row filter: a GHz value or 'multi'")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="output path (default stdout)")
+
+    fit = sub.add_parser("fit", parents=[samples], help="fit model families to a CSV dataset")
     fit.add_argument("--scenario", action="append",
                      help="restrict to ENV:LAYOUT[:POL]; repeatable")
     fit.add_argument("--families", default="auto",
                      help="comma list of ci,fi,abg,cif or 'auto' (default); "
                           "V-H data also gets XPD extensions of the V-V base fits")
-    fit.add_argument("--f0", type=float, default=None,
-                     help="CIF reference frequency in GHz (default: count-weighted mean)")
-    fit.add_argument("--mode", choices=("strict", "lax"), default="strict",
-                     help="CSV ingestion mode (default strict)")
     fit.add_argument("--output", help="params JSON path; table goes to stdout")
     fit.set_defaults(func=_cmd_fit)
 
-    predict_p = sub.add_parser("predict", help="evaluate a model on a (f, d) grid")
-    src = predict_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--params", help="params JSON from a fit run")
-    src.add_argument("--preset", help="published preset selector, e.g. table3:28:VV:LOS:CO")
-    predict_p.add_argument("--model", required=True, help="model family, e.g. CI")
+    predict_p = sub.add_parser("predict", parents=[row, output],
+                               help="evaluate a model on a (f, d) grid")
     predict_p.add_argument("--scenario", help="ENV:LAYOUT:POL row filter")
-    predict_p.add_argument("--fit-freq", help="row filter: a GHz value or 'multi'")
     predict_p.add_argument("--freq", "--f", action="extend", nargs="+", type=float,
                            default=[], help="frequencies in GHz")
     predict_p.add_argument("--dist", "--d", action="extend", nargs="+", type=float,
                            required=True, help="distances in meters")
-    predict_p.add_argument("--output", help="write columnar output here instead of stdout")
     predict_p.set_defaults(func=_cmd_predict)
 
-    synth = sub.add_parser("synth", help="draw a shadow-faded dataset from a model")
-    src = synth.add_mutually_exclusive_group(required=True)
-    src.add_argument("--params", help="params JSON from a fit run")
-    src.add_argument("--preset", help="published preset selector")
-    synth.add_argument("--model", required=True, help="model family to draw from")
+    synth = sub.add_parser("synth", parents=[row, output],
+                           help="draw a shadow-faded dataset from a model")
     synth.add_argument("--scenario", required=True,
                        help="ENV:LAYOUT:POL tag for the generated samples; "
                             "also a row filter for --params")
-    synth.add_argument("--fit-freq", help="row filter: a GHz value or 'multi'")
     synth.add_argument("--freqs", required=True,
                        help="frequency blocks GHZ:COUNT[,GHZ:COUNT...], e.g. 28:100,73:100")
     synth.add_argument("--dmin", type=float, default=3.9,
@@ -263,25 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum distance in m (default 45.9)")
     synth.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"generator seed (default {DEFAULT_SEED})")
-    synth.add_argument("--output", help="CSV path (default stdout)")
     synth.set_defaults(func=_cmd_synth)
 
-    report_p = sub.add_parser("report", help="render comparison tables")
-    src = report_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", help="published preset selector, e.g. table5:nlos-cp")
-    src.add_argument("--params", help="params JSON from a fit run")
+    report_p = sub.add_parser("report", parents=[source, output],
+                              help="render comparison tables")
     report_p.add_argument("--style", choices=TABLE_STYLES,
                           help="table style (default: inferred)")
-    report_p.add_argument("--output", help="write the table here instead of stdout")
     report_p.set_defaults(func=_cmd_report)
 
-    compare = sub.add_parser("compare", help="fit and compare sigma on one dataset")
-    compare.add_argument("--input", required=True, help="sample CSV path")
+    compare = sub.add_parser("compare", parents=[samples, output],
+                             help="fit and compare sigma on one dataset")
     compare.add_argument("--scenario", help="ENV:LAYOUT[:POL] partition to compare on")
-    compare.add_argument("--f0", type=float, default=None,
-                         help="CIF reference frequency in GHz")
-    compare.add_argument("--mode", choices=("strict", "lax"), default="strict")
-    compare.add_argument("--output", help="write the comparison here instead of stdout")
     compare.set_defaults(func=_cmd_compare)
 
     return parser

@@ -403,15 +403,20 @@ def _finite(value, *what: str):
     raise ValueError(f"{' '.join(what)} must be a finite number, got {value!r}")
 
 
+def _object(value, *what: str) -> dict:
+    """A JSON object; any other JSON value raises a TypeError named by what."""
+    if isinstance(value, dict):
+        return value
+    raise TypeError(f"{' '.join(what)} must be a JSON object, got {type(value).__name__}")
+
+
 _CLASSES = {**PARAMS_CLASSES, **{base + "X": XpdExtension for base in XPD_BASE_FAMILIES}}
 
 
 def _params_from_fields(obj: dict, *what: str):
     """A parameter record from its JSON object, named by what; an absent d0_m reads as 1 m."""
     try:
-        if not isinstance(obj, dict):
-            raise TypeError(f"{' '.join(what)} must be a JSON object, got {type(obj).__name__}")
-        model = obj["model"]
+        model = _object(obj, *what)["model"]
         if isinstance(model, str) and model in _CLASSES:
             cls, values = _CLASSES[model], []
             for name in cls._json_names:
@@ -429,10 +434,11 @@ def _params_from_fields(obj: dict, *what: str):
 def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
     """One report row; scenarios memoizes the ScenarioKey of each token triple."""
     try:
-        sc = obj["scenario"]
         try:
+            sc = obj["scenario"]
             scenario = scenarios[sc["environment"], sc["layout"], sc["polarization"]]
         except (KeyError, TypeError):  # first seen, or malformed: named below in field order
+            sc = _object(_object(obj, "row")["scenario"], "scenario")
             scenario = ScenarioKey(
                 _enum_of(sc["environment"], Environment, "environment"),
                 _enum_of(sc["layout"], Layout, "layout"),

@@ -1,10 +1,10 @@
 """End-to-end command-line behavior, run in process through main(argv)."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +20,7 @@ from mmwpl import cli, dataio, presets
 from mmwpl.cli import main
 from mmwpl.errors import DomainError, NumericalError
 from mmwpl.fitting import fit_cif
-from mmwpl.models import MODEL_FAMILIES, CiParams, predict
+from mmwpl.models import CiParams, predict
 from mmwpl.numformat import format_fixed
 from mmwpl.report import FitReport, render_table, render_tables
 from mmwpl.synthesis import SynthesisSpec, synthesize
@@ -769,6 +769,20 @@ class TestParamsDocumentShape:
                                                  f"object: {what} must be a JSON object, "
                                                  f"got {kind}\n")
 
+    @pytest.mark.parametrize("value, kind", [(5, "int"), ("x", "str"), (None, "NoneType"),
+                                             ([], "list")])
+    @pytest.mark.parametrize("field", ["row", "scenario"])
+    def test_non_object_rows_and_scenarios_are_data(self, tmp_path, field, value, kind):
+        def edit(rows):
+            if field == "row":
+                rows.append(value)
+            else:
+                rows[0]["scenario"] = value
+        path = params_file(tmp_path, edit)
+        for argv in params_commands(path):
+            assert run_main(argv)[:3] == (3, "", "data error: read_params_json: bad report row: "
+                                                 f"{field} must be a JSON object, got {kind}\n")
+
     @pytest.mark.parametrize("digits, message", [
         (400, "bad parameter object: CI parameter n must be a finite number, got 1000"),
         (5000, ""),  # over int's string digit limit where Python has one: invalid JSON
@@ -926,6 +940,17 @@ class TestArgumentErrors:
     def test_bad_freq_blocks_are_usage(self, freqs, message):
         assert run_main([*SYNTH_CI, "--freqs", freqs]) == (2, "", f"usage error: {message}\n", [])
 
+    @pytest.mark.parametrize("joined, message", [
+        (["--freqs", "28:2", "--dmin=-inf"], "distance must be finite"),
+        (["--freqs=-0:2"], "frequency must be finite and positive"),
+    ], ids=["dmin", "freqs"])
+    def test_a_value_with_a_leading_dash_is_joined_to_its_option(self, joined, message):
+        assert run_main([*SYNTH_CI, *joined]) == (3, "", f"data error: synthesize: {message}\n",
+                                                  [])
+        apart = [token for arg in joined for token in arg.split("=")]
+        code, out, err, _ = run_main([*SYNTH_CI, *apart])  # argparse reads the value as a flag
+        assert (code, out) == (2, "") and err.endswith(": expected one argument\n")
+
     def test_empty_freq_block_is_skipped(self):
         code, out, err, _ = run_main([*SYNTH_CI, "--freqs", "28:5,,73:5"])
         assert (code, err) == (0, "")
@@ -1023,6 +1048,102 @@ class TestParserReuse:
         assert cli._parser.parse_args(fi).freq == []
 
 
+# ------------------------------------------------------------ option contract
+
+def subparsers(parser):
+    """Each subcommand's parser by name, in the order the commands are declared."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def option_table(parser):
+    """{command: {option strings: option(...)}} of every option of every
+    subcommand; help text is left out."""
+    table = {}
+    for name, command in subparsers(parser).items():
+        groups = {action: (*sorted(a.dest for a in group._group_actions), group.required)
+                  for group in command._mutually_exclusive_groups
+                  for action in group._group_actions}
+        table[name] = {tuple(a.option_strings): option(
+            a.dest, a.required, a.default, a.choices, a.type, a.nargs, type(a).__name__,
+            groups.get(a)) for a in command._actions}
+    return table
+
+
+def option(dest, required=False, default=None, choices=None, type=None, nargs=None,
+           action="_StoreAction", group=None):
+    """One option's row: argparse's own defaults unless given."""
+    return (dest, required, default, choices, type, nargs, action, group)
+
+
+HELP = option("help", default=argparse.SUPPRESS, nargs=0, action="_HelpAction")
+SOURCE = ("params", "preset", True)  # the required --params | --preset group
+SAMPLE_OPTIONS = {
+    ("-h", "--help"): HELP,
+    ("--input",): option("input", required=True),
+    ("--f0",): option("f0", type=float),
+    ("--mode",): option("mode", default="strict", choices=("strict", "lax")),
+    ("--output",): option("output"),
+}
+ROW_OPTIONS = {
+    ("-h", "--help"): HELP,
+    ("--params",): option("params", group=SOURCE),
+    ("--preset",): option("preset", group=SOURCE),
+    ("--model",): option("model", required=True),
+    ("--fit-freq",): option("fit_freq"),
+    ("--output",): option("output"),
+}
+# every subcommand option as the command line declares it; only help text may change
+OPTION_TABLE = {
+    "fit": {**SAMPLE_OPTIONS,
+            ("--scenario",): option("scenario", action="_AppendAction"),
+            ("--families",): option("families", default="auto")},
+    "predict": {**ROW_OPTIONS,
+                ("--scenario",): option("scenario"),
+                ("--freq", "--f"): option("freq", default=[], type=float, nargs="+",
+                                          action="_ExtendAction"),
+                ("--dist", "--d"): option("dist", required=True, type=float, nargs="+",
+                                          action="_ExtendAction")},
+    "synth": {**ROW_OPTIONS,
+              ("--scenario",): option("scenario", required=True),
+              ("--freqs",): option("freqs", required=True),
+              ("--dmin",): option("dmin", default=3.9, type=float),
+              ("--dmax",): option("dmax", default=45.9, type=float),
+              ("--seed",): option("seed", default=0, type=int)},
+    "report": {("-h", "--help"): HELP,
+               ("--params",): option("params", group=SOURCE),
+               ("--preset",): option("preset", group=SOURCE),
+               ("--style",): option("style", choices=("table3", "table4", "table5", "table6")),
+               ("--output",): option("output")},
+    "compare": {**SAMPLE_OPTIONS,
+                ("--scenario",): option("scenario")},
+}
+
+
+def test_option_table():
+    table = option_table(cli.build_parser())
+    assert list(table) == list(OPTION_TABLE)
+    assert table == OPTION_TABLE
+
+
+def test_parsers_from_separate_calls_are_independent():
+    first, second = cli.build_parser(), cli.build_parser()
+    for name, command in subparsers(first).items():
+        command.add_argument("--extra")
+        assert "--extra" not in subparsers(second)[name]._option_string_actions
+    assert option_table(second) == OPTION_TABLE
+
+    def actions(parser):
+        return {id(a) for command in subparsers(parser).values() for a in command._actions}
+    assert actions(first).isdisjoint(actions(second))
+
+
+def test_every_option_has_help():
+    unhelped = [(name, a.option_strings) for name, command in subparsers(cli.build_parser()).items()
+                for a in command._actions if a.dest != "help" and not a.help]
+    assert unhelped == []
+
+
 # ------------------------------------------------------------- closed stdout
 
 class TestClosedStdout:
@@ -1063,163 +1184,7 @@ class TestClosedStdout:
         assert err.getvalue() == ""
 
 
-# ----------------------------------------------------- argv fuzz and closure
-
-@pytest.fixture(scope="module")
-def fuzz_files(tmp_path_factory):
-    """Inputs the fuzzed commands read: CSVs of one and of two frequencies,
-    one below 0.5 GHz, CRLF, BOM, quoted-label, ragged, mistokened and
-    header-only CSVs, a fitted params JSON, an empty one, params documents of
-    the wrong schema or shape or nested 100 000 deep, and a missing path."""
-    base = tmp_path_factory.mktemp("fuzz")
-    vv = synthesize(SynthesisSpec(CiParams(2.5, 4.0), NLOS_CO_VV, ((28.0, 6), (73.0, 6)),
-                                  (3.9, 45.9), seed=7))
-    vh = synthesize(SynthesisSpec(CiParams(3.0, 4.0), NLOS_CO_VH, ((28.0, 6), (73.0, 6)),
-                                  (3.9, 45.9), seed=8))
-    dataio.write_csv(Dataset(vv.samples + vh.samples), base / "both.csv")
-    dataio.write_csv(Dataset(vv.samples[:6]), base / "single.csv")
-    write_rows(base / "low.csv", [f"{f},{d},{40.0 + 2.0 * d},VV,LOS,CO"
-                                  for f in (0.1, 0.2) for d in (2, 5, 9)])
-    both = (base / "both.csv").read_text(encoding="utf-8")
-    (base / "crlf.csv").write_bytes(both.replace("\n", "\r\n").encode("utf-8"))
-    (base / "bom.csv").write_text("\ufeff" + both, encoding="utf-8")
-    (base / "quoted.csv").write_text(CSV_HEADER + "\n" + "".join(
-        f'{f},{d},{60.0 + 2.0 * d},VV,NLOS,CO,"TX,1","R""X"\n'
-        for f in (28, 73) for d in (4, 9, 20)), encoding="utf-8")
-    write_rows(base / "ragged.csv", ["28,5,80,VV,NLOS,CO", "", "28,9", "28,9,90,VV,NLOS,CO,a,b,c",
-                                     ",,,,,", "73,9,95,VV,NLOS,CO", "73,20,110,VV,NLOS,CO"])
-    write_rows(base / "mistokened.csv", ["28,5,80,vv,NLOS,CO", "28,9,90,VV,Nlos,CO",
-                                         "73,9,95,VV,NLOS,corridor", "73,5m,85,VV,NLOS,CO",
-                                         "73,20,110,VV,NLOS,CO", "28,20,100,VV,NLOS,CO"])
-    write_rows(base / "header.csv", [])
-    assert run_main(["fit", "--input", str(base / "both.csv"),
-                     "--output", str(base / "params.json")])[0] == 0
-    (base / "empty.json").write_text('{"schema_version": 1, "rows": []}', encoding="utf-8")
-    rows = json.loads((base / "params.json").read_text(encoding="utf-8"))["rows"]
-    for name, doc in [("v2.json", {"schema_version": 2, "rows": rows}),
-                      ("rows_object.json", {"schema_version": 1, "rows": {"0": rows[0]}}),
-                      ("row_not_object.json", {"schema_version": 1, "rows": [rows[0], 5]})]:
-        (base / name).write_text(json.dumps(doc), encoding="utf-8")
-    (base / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    return base
-
-
-FUZZ_NUMBERS = st.sampled_from(["28", "50", "3.9", "45.9", "1", "0.5", "0", "-0", "-3",
-                                "1e-300", "1e308", "inf", "nan", "x"])
-FUZZ_SCENARIOS = st.sampled_from(["NLOS:CO", "nlos:co:vh", "NLOS:CO:Comb", "NLOS:CO:VV",
-                                  "LOS:CP", "LOS:CP:VV", "NLOS", "XLOS:CO", "NLOS:CO:HH", ""])
-# numbers that parse oddly or not at all: signed zero, the least subnormal, an
-# underscore, full-width digits, NaN, the infinities and an overflowing literal
-HOSTILE_NUMBERS = st.sampled_from(["0", "-0", "5e-324", "1_0", "\uff12\uff18", "nan", "inf",
-                                   "-inf", "1e400"])
-FUZZ_PRESETS = st.sampled_from(["table3:28:VV:NLOS:CO", "table5:nlos-cp", "table5::nlos-cp",
-                                "table3", "table4:73", "table6", "table3:multi", "table9", ""])
-FUZZ_MODELS = st.sampled_from(["CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX", "ci", "XX"])
-# counts stay small: a block never asks for more than 5 samples
-FUZZ_BLOCKS = st.lists(
-    st.tuples(st.sampled_from(["28", "73", "0.3", "0.001", "1e30", "1e308", "nan", "-5", "x", ""]),
-              st.sampled_from([":1", ":3", ":5", ":0", ":-2", ":x", ":", ""])).map("".join),
-    max_size=3).map(",".join)
-# blocks of hostile frequencies and counts; a count is at most 28 samples
-HOSTILE_BLOCKS = st.lists(
-    st.tuples(HOSTILE_NUMBERS | st.just("28"), HOSTILE_NUMBERS.map(":{}".format) | st.just(":2")
-              ).map("".join), min_size=1, max_size=3).map(",".join)
-
-
-def required(flag, values):
-    return values.map(lambda value: [flag, value])
-
-
-def joined(flag, values):
-    """flag=value as one token, so that argparse passes on a value such as -inf."""
-    return values.map(lambda value: [f"{flag}={value}"])
-
-
-def optional(flag, values, form=required):
-    return st.one_of(st.just([]), form(flag, values))
-
-
-@st.composite
-def fuzz_params_json(draw, files):
-    """A params JSON of one fitted row per family in which one field of one
-    row's params, or of its XPD base, is deleted, mistyped, or set to NaN,
-    1e308 or 10**400; written over drawn.json."""
-    rows = json.loads((files / "params.json").read_text(encoding="utf-8"))["rows"]
-    drawn = [draw(st.sampled_from([row for row in rows if row["model"] == family]))
-             for family in MODEL_FAMILIES]
-    params = draw(st.sampled_from(drawn))["params"]
-    target = draw(st.sampled_from([params, params["base"]] if "base" in params else [params]))
-    key = draw(st.sampled_from(sorted(set(target) - {"model"})))
-    value = draw(st.sampled_from(["delete", "x", True, None, math.nan, 1e308, 10**400]))
-    if value == "delete":
-        del target[key]
-    else:
-        target[key] = value
-    path = files / "drawn.json"
-    path.write_text(json.dumps({"schema_version": 1, "rows": drawn}), encoding="utf-8")
-    return str(path)
-
-
-@st.composite
-def fuzz_argv(draw, command, files):
-    """One command line: mostly well-formed flags with edge-case values."""
-    path = st.sampled_from(["both.csv", "single.csv", "low.csv", "crlf.csv", "bom.csv",
-                            "quoted.csv", "ragged.csv", "mistokened.csv", "header.csv",
-                            "params.json", "missing.csv"]).map(lambda name: str(files / name))
-    params = st.sampled_from(["params.json", "empty.json", "v2.json", "rows_object.json",
-                              "row_not_object.json", "deep.json", "both.csv", "missing.json"]
-                             ).map(lambda name: str(files / name)) | fuzz_params_json(files)
-    source = st.one_of(optional("--preset", FUZZ_PRESETS), optional("--params", params))
-    parts = {
-        "fit": [path.map(lambda p: ["--input", p]), optional("--scenario", FUZZ_SCENARIOS),
-                optional("--families", st.sampled_from(["auto", "ci", "fi,abg", "CIF,ci",
-                                                        "ci,xyz", ",", "cix"])),
-                optional("--f0", FUZZ_NUMBERS), optional("--mode", st.sampled_from(
-                    ["strict", "lax"]))],
-        "compare": [path.map(lambda p: ["--input", p]), optional("--scenario", FUZZ_SCENARIOS),
-                    optional("--f0", FUZZ_NUMBERS), optional("--mode", st.sampled_from(
-                        ["strict", "lax"]))],
-        "report": [source, optional("--style", st.sampled_from(
-            ["table3", "table4", "table5", "table6"]))],
-        "predict": [required("--params", params) | required("--preset", FUZZ_PRESETS),
-                    required("--model", FUZZ_MODELS), optional("--scenario", FUZZ_SCENARIOS),
-                    optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
-                    optional("--freq", FUZZ_NUMBERS), required("--dist", FUZZ_NUMBERS)],
-        # a drawn source, family and scenario, or a preset row that synth draws
-        # from and a scenario it accepts, so that the numbers reach synth
-        "synth": [st.tuples(required("--params", params) | required("--preset", FUZZ_PRESETS),
-                            required("--model", FUZZ_MODELS), required("--scenario", FUZZ_SCENARIOS)
-                            ).map(lambda t: t[0] + t[1] + t[2])
-                  | st.tuples(SYNTH_MODELS, st.sampled_from(["NLOS:CO:VV", "nlos:co:vh"])).map(
-                      lambda t: ["--preset", t[0][0], "--model", t[0][1], "--scenario", t[1]]),
-                  optional("--fit-freq", st.sampled_from(["28", "73", "multi", "abc"])),
-                  joined("--freqs", FUZZ_BLOCKS | SYNTH_BLOCKS | HOSTILE_BLOCKS),
-                  optional("--dmin", FUZZ_NUMBERS | HOSTILE_NUMBERS, joined),
-                  optional("--dmax", FUZZ_NUMBERS | HOSTILE_NUMBERS, joined),
-                  optional("--seed", st.sampled_from(["0", "3", "-1", "x"]) | HOSTILE_NUMBERS,
-                           joined)],
-    }[command]
-    return [command, *(token for part in parts for token in draw(part))]
-
-
-class TestArgvFuzz:
-    @pytest.mark.parametrize("command", ["synth", "report", "compare", "fit", "predict"])
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_exit_code_is_classified(self, fuzz_files, command, data):
-        argv = data.draw(fuzz_argv(command, fuzz_files))
-        code, out, err, caught = run_main(argv)
-        assert code in (0, 2, 3, 4)
-        if code == 0:  # a second call in the same process gives the same bytes
-            assert run_main(argv)[:3] == (code, out, err)
-        assert caught == []
-        assert "Traceback" not in err and "Warning" not in err
-        if code != 0 and not err.startswith("usage: "):  # argparse's own refusal
-            lines = err.splitlines()
-            classified = [line for line in lines if line.startswith(
-                ("usage error: ", "data error: ", "numerical error: "))]
-            assert classified == lines[-1:], err
-
+# ---------------------------------------------------------- synth-fit closure
 
 SYNTH_MODELS = st.sampled_from([("table5:nlos-cp", family) for family in
                                 ("CI", "CIX", "CIF", "CIFX", "ABG", "ABGX")]

@@ -785,7 +785,11 @@ def reference_row_from_json(obj):
     """_row_from_json without the ScenarioKey memo and the type checks of
     n_samples and source."""
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"row must be a JSON object, got {type(obj).__name__}")
         sc = obj["scenario"]
+        if not isinstance(sc, dict):
+            raise TypeError(f"scenario must be a JSON object, got {type(sc).__name__}")
         scenario = ScenarioKey(
             _enum_of(sc["environment"], Environment, "environment"),
             _enum_of(sc["layout"], Layout, "layout"),

@@ -15,6 +15,7 @@ import numpy as np
 from mmwpl import cli
 from mmwpl.cli import main
 from mmwpl.models import PARAMS_CLASSES, XPD_BASE_FAMILIES, XpdExtension
+from test_cli import subparsers
 from test_golden import PAIRS, _cells, _write
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -64,3 +65,12 @@ def test_params_key_table_is_the_record():
     record = {models: [(field.name, name) for field, name in zip(fields(cls), cls._json_names)]
               for models, cls in classes.items()}
     assert listed == record
+
+
+def test_readme_flags_match_the_parser():
+    install = README.split("\n## Install\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][\w-]*", README.replace(install, "")))
+    options = [set(action.option_strings) for command in subparsers(cli.build_parser()).values()
+               for action in command._actions if action.dest != "help"]
+    assert named - set().union(*options) == set()
+    assert [sorted(strings) for strings in options if not strings & named] == []
