@@ -1,9 +1,10 @@
 """Command-line front end: fit, predict, synth, report, compare.
 
 Every command is deterministic: the same inputs (and, for synth, the same
-seed) produce byte-identical outputs. Errors exit with a class-specific
-code so scripts can tell misuse (2) from bad data (3) from numerically
-ill-posed fits (4); a reader that closes stdout early gives 141, silently.
+seed) produce byte-identical outputs under one numpy build and its
+dispatched SIMD kernels. Errors exit with a class-specific code so scripts
+can tell misuse (2) from bad data (3) from numerically ill-posed fits (4);
+a reader that closes stdout early gives 141, silently.
 
 `main` builds its argparse parser on the first call and reuses it for every
 later call in the process; `build_parser()` returns a new parser each time,
@@ -13,6 +14,7 @@ for callers that extend it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -71,14 +73,16 @@ def _load_dataset(path: str, mode: str) -> Dataset:
 # ---------------------------------------------------------------- fit
 
 def _requested_families(spec: str) -> Optional[tuple[str, ...]]:
-    """Resolve --families into fit_scenarios' families: None for 'auto'.
+    """Resolve --families into fit_scenarios' families: None for 'auto' alone.
 
-    fit_scenarios checks the names; an explicit list is honored literally,
+    fit_scenarios checks any other list, so an empty one or one naming
+    'auto' among others is refused; an explicit list is honored literally,
     so asking for a multi-frequency family on single-frequency data surfaces
     the estimator's refusal instead of silently skipping.
     """
-    tokens = [t.strip().upper() for t in spec.split(",") if t.strip()]
-    return None if not tokens or "AUTO" in tokens else tuple(tokens)
+    if spec.strip().upper() == "AUTO":
+        return None
+    return tuple(t.strip().upper() for t in spec.split(",") if t.strip())
 
 
 def _cmd_fit(args) -> int:
@@ -212,11 +216,15 @@ def _cmd_compare(args) -> int:
 # -------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix stands for an option, so a later option sharing one breaks no command line
     parser = argparse.ArgumentParser(
         prog="mmwpl",
         description="Fit, evaluate, and compare large-scale indoor mmWave path loss models.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     # each shared option once, on parents built per call: no two calls share an Action
     samples = argparse.ArgumentParser(add_help=False)

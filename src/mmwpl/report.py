@@ -32,8 +32,6 @@ from .models import POOLED_FAMILIES
 from .numformat import format_fixed
 from .taxonomy import LABELS, PAIRS, PolarizationClass, ScenarioKey
 
-TABLE_STYLES = ("table3", "table4", "table5", "table6")
-
 # slack below which a negative sigma gap is attributed to rounding
 DELTA_SIGMA_SLACK_DB = 0.05
 
@@ -162,25 +160,21 @@ def _render(headers: list[str], body: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Grid:
-    """What every table body reads, computed once per render: the first row
-    of each plain (family, environment, layout, polarization class,
-    freq_ghz) key and the sorted distinct frequencies a row can match. The
-    bodies walk the environment/layout pairs in PAIRS order."""
+def _first_rows(report: FitReport) -> dict:
+    """The first row of each plain (family, environment, layout,
+    polarization class, freq_ghz) key, computed once per render; no body
+    asks for a NaN frequency, so rows at NaN fill no cell."""
+    first: dict = {}
+    for row in report.rows:
+        scenario = row.scenario
+        first.setdefault((row.family, scenario.environment, scenario.layout,
+                          scenario.polarization_class, row.freq_ghz), row)
+    return first
 
-    def __init__(self, report: FitReport):
-        self._first: dict = {}
-        for row in report.rows:
-            scenario = row.scenario
-            self._first.setdefault((row.family, scenario.environment, scenario.layout,
-                                    scenario.polarization_class, row.freq_ghz), row)
-        self.freqs = sorted({r.freq_ghz for r in report.rows
-                             if r.freq_ghz is not None and r.freq_ghz == r.freq_ghz})
 
-    def first(self, *key) -> Optional[FitRow]:
-        """The first row of a plain key, or None; no key asks for a NaN
-        frequency, so rows at NaN are never returned."""
-        return self._first.get(key)
+def _freqs(first: dict) -> list[float]:
+    """The sorted distinct frequencies of the keys, None and NaN left out."""
+    return sorted({key[4] for key in first if key[4] is not None and key[4] == key[4]})
 
 
 def _model_cells(row: Optional[FitRow], width: int) -> list[str]:
@@ -191,13 +185,13 @@ def _model_cells(row: Optional[FitRow], width: int) -> list[str]:
     return [*_coefficient_cells(row.params, width), format_fixed(row.sigma_db, 1)]
 
 
-def _table3_body(grid: _Grid) -> list[list[str]]:
-    body, first = [], grid.first
-    for freq in grid.freqs:
+def _table3_body(first: dict) -> list[list[str]]:
+    body = []
+    for freq in _freqs(first):
         for pol in PolarizationClass:
             for env, layout in PAIRS:
-                ci = first("CI", env, layout, pol, freq)
-                fi = first("FI", env, layout, pol, freq)
+                ci = first.get(("CI", env, layout, pol, freq))
+                fi = first.get(("FI", env, layout, pol, freq))
                 if ci is None and fi is None:
                     continue
                 gap = None
@@ -212,48 +206,45 @@ def _table3_body(grid: _Grid) -> list[list[str]]:
     return body
 
 
-def _table4_body(grid: _Grid) -> list[list[str]]:
+def _table4_body(first: dict) -> list[list[str]]:
     vh = PolarizationClass.VH
     return [[_freq_label(freq), LABELS[vh], LABELS[env], LABELS[layout], *_model_cells(row, 2)]
-            for freq in grid.freqs for env, layout in PAIRS
-            if (row := grid.first("CIX", env, layout, vh, freq)) is not None]
+            for freq in _freqs(first) for env, layout in PAIRS
+            if (row := first.get(("CIX", env, layout, vh, freq))) is not None]
 
 
-def _table5_body(grid: _Grid) -> list[list[str]]:
+def _table5_body(first: dict) -> list[list[str]]:
     vv, vh = PolarizationClass.VV, PolarizationClass.VH
     # each pooled family's V-V row, then its XPD extension's V-H row
     order = [pair for base in POOLED_FAMILIES for pair in ((base, vv), (base + "X", vh))]
     return [[LABELS[env], LABELS[layout], family, LABELS[pol], *_model_cells(row, 4)]
             for env, layout in PAIRS for family, pol in order
-            if (row := grid.first(family, env, layout, pol, None)) is not None]
+            if (row := first.get((family, env, layout, pol, None))) is not None]
 
 
-def _table6_body(grid: _Grid) -> list[list[str]]:
+def _table6_body(first: dict) -> list[list[str]]:
     combined = PolarizationClass.COMBINED
     return [[family, LABELS[env], LABELS[layout], *_model_cells(row, 3)]
             for family in POOLED_FAMILIES for env, layout in PAIRS
-            if (row := grid.first(family, env, layout, combined, None)) is not None]
+            if (row := first.get((family, env, layout, combined, None))) is not None]
 
 
-_STYLE_HEADERS = {
-    "table3": [
+# each style's headers and body, in table order
+_STYLES = {
+    "table3": ([
         "Freq", "Pol", "Env", "L/O",
         "PLE", "sigma_CI [dB]", "alpha [dB]", "beta", "sigma_FI [dB]", "dsigma [dB]",
-    ],
-    "table4": ["Freq", "Pol", "Env", "L/O", "n_VV", "XPD [dB]", "sigma [dB]"],
-    "table5": [
+    ], _table3_body),
+    "table4": (["Freq", "Pol", "Env", "L/O", "n_VV", "XPD [dB]", "sigma [dB]"], _table4_body),
+    "table5": ([
         "Env", "L/O", "Model", "Pol",
         "n/alpha", "b/beta [dB]", "f0/gamma", "XPD [dB]", "sigma [dB]",
-    ],
-    "table6": ["Model", "Env", "L/O", "n/alpha", "b/beta [dB]", "f0/gamma", "sigma [dB]"],
+    ], _table5_body),
+    "table6": (["Model", "Env", "L/O", "n/alpha", "b/beta [dB]", "f0/gamma", "sigma [dB]"],
+               _table6_body),
 }
 
-_STYLE_BODIES = {
-    "table3": _table3_body,
-    "table4": _table4_body,
-    "table5": _table5_body,
-    "table6": _table6_body,
-}
+TABLE_STYLES = tuple(_STYLES)
 
 
 def render_table(report: FitReport, style: str) -> str:
@@ -264,14 +255,15 @@ def render_table(report: FitReport, style: str) -> str:
     the sigma gap column is computed, never stored, and only appears when
     the CI and FI rows come from the identical sample set.
     """
-    if style not in TABLE_STYLES:
+    if style not in TABLE_STYLES:  # a tuple, so an unhashable style is refused too
         raise UsageError(f"unknown table style {style!r}; expected one of {TABLE_STYLES}")
-    return _render(_STYLE_HEADERS[style], _STYLE_BODIES[style](_Grid(report)))
+    headers, body = _STYLES[style]
+    return _render(headers, body(_first_rows(report)))
 
 
 def render_tables(report: FitReport) -> str:
     """Every style with at least one body row for this report, in
     TABLE_STYLES order, separated by blank lines; "" when there is none."""
-    grid = _Grid(report)
-    bodies = ((style, _STYLE_BODIES[style](grid)) for style in TABLE_STYLES)
-    return "\n".join(_render(_STYLE_HEADERS[style], body) for style, body in bodies if body)
+    first = _first_rows(report)
+    tables = ((headers, body(first)) for headers, body in _STYLES.values())
+    return "\n".join(_render(headers, rows) for headers, rows in tables if rows)

@@ -3,8 +3,10 @@
 Distances are drawn uniformly in log10(d) so every decade of the fitted
 range carries equal leverage; shadow fading is added per sample as an
 i.i.d. zero-mean Gaussian in dB with the model's sigma. The generator is
-numpy's default PCG64 bit stream (numpy.random.default_rng), so one seed
-gives one bit-identical dataset on every platform numpy supports.
+numpy's default PCG64 bit stream (numpy.random.default_rng), which is the
+same on every platform; one seed gives one bit-identical dataset for one
+numpy build running the same dispatched SIMD kernels, since numpy's
+AVX-512 power kernel rounds differently from its baseline one.
 """
 
 from __future__ import annotations

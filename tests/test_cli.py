@@ -951,10 +951,31 @@ class TestArgumentErrors:
         code, out, err, _ = run_main([*SYNTH_CI, *apart])  # argparse reads the value as a flag
         assert (code, out) == (2, "") and err.endswith(": expected one argument\n")
 
+    def test_a_bare_frequency_draws_one_sample(self):
+        code, out, err, _ = run_main([*SYNTH_CI, "--freqs", "28"])
+        assert (code, err, out.count("\n")) == (0, "", 2)  # header and one row
+        assert run_main([*SYNTH_CI, "--freqs", "28:1"])[1] == out
+
     def test_empty_freq_block_is_skipped(self):
         code, out, err, _ = run_main([*SYNTH_CI, "--freqs", "28:5,,73:5"])
         assert (code, err) == (0, "")
         assert run_main([*SYNTH_CI, "--freqs", "28:5,73:5"])[1] == out
+
+    @pytest.mark.parametrize("families, refusal", [
+        ("ci,auto", "unknown families ['AUTO']"),
+        ("", "no families requested"),
+        (",", "no families requested"),
+        ("auto,auto", "unknown families ['AUTO', 'AUTO']"),
+    ])
+    def test_auto_stands_alone(self, clean_ci_csv, families, refusal):
+        assert run_main(["fit", "--input", clean_ci_csv, "--families", families]) == (
+            2, "", f"usage error: fit_scenarios: {refusal}; "
+                   "choose from ('CI', 'FI', 'ABG', 'CIF')\n", [])
+
+    def test_auto_ignores_case_and_surrounding_spaces(self, clean_ci_csv):
+        auto = run_main(["fit", "--input", clean_ci_csv])
+        assert auto[0] == 0
+        assert run_main(["fit", "--input", clean_ci_csv, "--families", " AuTo "]) == auto
 
     def test_unknown_family_token_is_named(self, clean_ci_csv):
         assert run_main(["fit", "--input", clean_ci_csv, "--families", "ci,xyz"]) == (
@@ -1136,6 +1157,39 @@ def test_parsers_from_separate_calls_are_independent():
     def actions(parser):
         return {id(a) for command in subparsers(parser).values() for a in command._actions}
     assert actions(first).isdisjoint(actions(second))
+
+
+# each subcommand's required options, with values that parse
+REQUIRED_ARGV = {
+    "fit": ["--input", "x.csv"],
+    "predict": ["--preset", "table5:nlos-cp", "--model", "CI", "--dist", "5"],
+    "synth": [*SYNTH_CI[1:], "--freqs", "28:2"],
+    "report": ["--preset", "table5:nlos-cp"],
+    "compare": ["--input", "x.csv"],
+}
+
+
+def undeclared_prefixes():
+    """(command, prefix) for every proper prefix longer than "--" of every
+    long option of every subcommand that is not itself an option there."""
+    for name, command in subparsers(cli.build_parser()).items():
+        declared = command._option_string_actions
+        for flag in sorted(f for f in declared if f.startswith("--")):
+            for end in range(3, len(flag)):
+                if flag[:end] not in declared:
+                    yield name, flag[:end]
+
+
+@pytest.mark.parametrize("name, prefix", list(undeclared_prefixes()))
+def test_an_option_prefix_is_refused(name, prefix):
+    code, out, err, _ = run_main([name, *REQUIRED_ARGV[name], prefix])
+    assert (code, out) == (2, "") and err.endswith(f": unrecognized arguments: {prefix}\n")
+
+
+def test_a_prefix_before_the_subcommand_is_refused():
+    assert run_main(["--he"])[:2] == (2, "")  # not --help's page and exit 0
+    code, out, err, _ = run_main(["--he", "report", *REQUIRED_ARGV["report"]])
+    assert (code, out) == (2, "") and err.endswith(": unrecognized arguments: --he\n")
 
 
 def test_every_option_has_help():

@@ -12,7 +12,7 @@ from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
 from mmwpl.numformat import format_fixed, round_half_away
 from mmwpl.presets import preset_report
 from mmwpl.report import (
-    _STYLE_HEADERS,
+    _STYLES,
     ANY_FREQ,
     TABLE_STYLES,
     FitReport,
@@ -357,7 +357,7 @@ def reference_body(report, style):
 
 def reference_render_table(report, style):
     """render_table with every cell looked up through FitReport.find."""
-    return reference_render(_STYLE_HEADERS[style], reference_body(report, style))
+    return reference_render(_STYLES[style][0], reference_body(report, style))
 
 
 def reference_render_tables(report):
