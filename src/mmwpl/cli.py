@@ -107,16 +107,16 @@ def _load_report(args):
     return dataio.read_params_json(args.params)
 
 
-def _resolve_model(args):
-    """The one --model row of --params or --preset that --fit-freq and --scenario
-    select; synth's --scenario only tags its samples when the source is --preset."""
+def _resolve_model(args, scenario_text: Optional[str]):
+    """The one --model row of --params or --preset that --fit-freq and the
+    ENV:LAYOUT:POL scenario_text, when given, select."""
     family = args.model.upper()
     if family not in MODEL_FAMILIES:
         raise UsageError(f"unknown model family {args.model!r}; choose from {MODEL_FAMILIES}")
     report = _load_report(args)
     scenario = None
-    if args.scenario and (args.command == "predict" or args.preset is None):
-        scenario = ScenarioKey(*parse_scenario(args.scenario, need_pol=True))
+    if scenario_text:
+        scenario = ScenarioKey(*parse_scenario(scenario_text, need_pol=True))
     freq = ANY_FREQ
     if args.fit_freq is not None:
         try:
@@ -129,7 +129,7 @@ def _resolve_model(args):
 
 
 def _cmd_predict(args) -> int:
-    model = _resolve_model(args)
+    model = _resolve_model(args, args.scenario)
     if model.family != "FI" and not args.freq:
         raise UsageError(f"--freq is required for the {model.family} family")
     # one grid row per --freq value; FI without any gets one row of empty cells
@@ -147,7 +147,8 @@ def _cmd_predict(args) -> int:
 # --------------------------------------------------------------- synth
 
 def _cmd_synth(args) -> int:
-    model = _resolve_model(args)
+    # --scenario selects a --params row; a --preset row is found without it
+    model = _resolve_model(args, args.scenario if args.preset is None else None)
     scenario = ScenarioKey(*parse_scenario(args.scenario, need_pol=True))
     spec = SynthesisSpec(
         model=model,
@@ -317,15 +318,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, DomainError) as exc:
+    except (DataError, DomainError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

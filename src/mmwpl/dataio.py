@@ -445,9 +445,9 @@ def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
                 _enum_of(sc["polarization"], PolarizationClass, "polarization class"),
             )
             scenarios[sc["environment"], sc["layout"], sc["polarization"]] = scenario
-        family, freq = obj["model"], obj.get("freq_ghz")
-        if not isinstance(family, str):
-            raise TypeError(f"model must be a string, got {family!r}")
+        model, freq = obj["model"], obj.get("freq_ghz")
+        if not isinstance(model, str):
+            raise TypeError(f"model must be a string, got {model!r}")
         params = _params_from_fields(obj["params"], "params")
         freq_ghz = None if freq is None else _finite(freq, "freq_ghz")
         n_samples, source = obj.get("n_samples"), obj.get("source", "")
@@ -456,7 +456,7 @@ def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
                              f"got {n_samples!r}")
         if not isinstance(source, str):
             raise TypeError(f"source must be a string, got {source!r}")
-        return FitRow(family, scenario, params, freq_ghz, n_samples, source)
+        return FitRow(scenario, params, freq_ghz=freq_ghz, n_samples=n_samples, source=source)
     except DataError:  # _params_from_fields' error, already prefixed
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -493,8 +493,9 @@ def _params_json(params, indent: str) -> str:
 
 
 def _row_json(row: FitRow) -> str:
-    """One report row as json.dumps(indent=2) lays it out in the rows list."""
-    scenario = row.scenario
+    """One report row as json.dumps(indent=2) lays it out in the rows list;
+    params first, so that a non-record is refused before row.family reads it."""
+    scenario, params = row.scenario, _params_json(row.params, "      ")
     return (f'    {{\n      "model": {_json_value(row.family)},\n'
             f'      "freq_ghz": {_json_value(row.freq_ghz)},\n'
             f'      "scenario": {{\n'
@@ -504,7 +505,7 @@ def _row_json(row: FitRow) -> str:
             f'      }},\n'
             f'      "n_samples": {_json_value(row.n_samples)},\n'
             f'      "source": {_json_value(row.source)},\n'
-            f'      "params": {_params_json(row.params, "      ")}\n'
+            f'      "params": {params}\n'
             f'    }}')
 
 
@@ -543,8 +544,8 @@ def read_params_json(source: Source) -> FitReport:
     if not isinstance(rows, list):
         raise DataError(f"read_params_json: rows must be a list, got {type(rows).__name__}")
     report = FitReport(tuple(_row_from_json(r, scenarios) for r in rows))
-    for row in report.rows:  # after every row's own checks, whose errors come first
-        if row.family != row.params.family:
-            raise DataError(f"read_params_json: bad report row: model {row.family!r} "
-                            f"does not match its params' model {row.params.family!r}")
+    for raw, row in zip(rows, report.rows):  # each row's own errors are reported first
+        if raw["model"] != row.family:
+            raise DataError(f"read_params_json: bad report row: model {raw['model']!r} "
+                            f"does not match its params' model {row.family!r}")
     return report

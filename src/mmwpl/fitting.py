@@ -297,15 +297,15 @@ def _fit_families(t, key, freq_tag, families, f0_ghz, source, rows, bases):
     pol = key.polarization_class
     for family in families:
         params = _cif(t, f0_ghz) if family == "CIF" else _KERNELS[family](t)
-        rows.append(FitRow(family, key, params, freq_ghz=freq_tag, n_samples=n, source=source))
+        rows.append(FitRow(key, params, freq_ghz=freq_tag, n_samples=n, source=source))
         if family not in XPD_BASE_FAMILIES:
             continue
         slot = (key.environment, key.layout, freq_tag, family)
         if pol is PolarizationClass.VV:
             bases[slot] = params
         elif pol is PolarizationClass.VH and slot in bases:
-            rows.append(FitRow(family + "X", key, _xpd(bases[slot], t), freq_ghz=freq_tag,
-                               n_samples=n, source=source))
+            rows.append(FitRow(key, _xpd(bases[slot], t), freq_ghz=freq_tag, n_samples=n,
+                               source=source))
 
 
 @_overflow_checked
@@ -318,7 +318,7 @@ def fit_scenarios(
     """Fit model families per scenario, the way the paper tabulates them.
 
     selections lists (Environment, Layout, PolarizationClass or None)
-    tuples, and any other selection raises UsageError; None walks PAIRS,
+    tuples; any other selection, or none, raises UsageError. None walks PAIRS,
     the measured pairs first, and a pair without samples adds no rows. A
     selection without a polarization fits V-V, V-H and, when both are
     present, Combined; a scenario an earlier selection already fitted is
@@ -357,6 +357,8 @@ def fit_scenarios(
         selections = [(env, layout, None) for env, layout in PAIRS]
     else:
         selections = tuple(selections)
+        if not selections:
+            raise UsageError("fit_scenarios: no selections given; pass None for every pair")
         for selection in selections:
             if not (isinstance(selection, tuple) and len(selection) == 3
                     and isinstance(selection[0], Environment)

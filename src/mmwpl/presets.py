@@ -173,12 +173,8 @@ def _table3_report() -> FitReport:
     for freq, pol, env, layout, ple, s_ci, alpha, beta, s_fi in _SINGLE_FREQ_CI_FI:
         key = ScenarioKey(env, layout, pol)
         src = f"table3:{freq:g}:{key.label()}"
-        rows.append(
-            FitRow("CI", key, CiParams(ple, s_ci), freq_ghz=freq, source=src)
-        )
-        rows.append(
-            FitRow("FI", key, FiParams(alpha, beta, s_fi), freq_ghz=freq, source=src)
-        )
+        rows.append(FitRow(key, CiParams(ple, s_ci), freq_ghz=freq, source=src))
+        rows.append(FitRow(key, FiParams(alpha, beta, s_fi), freq_ghz=freq, source=src))
     return FitReport(tuple(rows))
 
 
@@ -188,9 +184,7 @@ def _table4_report() -> FitReport:
         key = ScenarioKey(env, layout, _P.VH)
         base = table3.single("CI", ScenarioKey(env, layout, _P.VV), freq).params
         ext = XpdExtension(base, xpd, sigma)
-        rows.append(
-            FitRow("CIX", key, ext, freq_ghz=freq, source=f"table4:{freq:g}:{key.label()}")
-        )
+        rows.append(FitRow(key, ext, freq_ghz=freq, source=f"table4:{freq:g}:{key.label()}"))
     return FitReport(tuple(rows))
 
 
@@ -202,10 +196,10 @@ def _multi_freq_report(table: str, blocks: dict, pol: PolarizationClass) -> FitR
         key, vh = ScenarioKey(env, layout, pol), ScenarioKey(env, layout, _P.VH)
         for family in POOLED_FAMILIES:
             base = PARAMS_CLASSES[family](*fams[family])
-            rows.append(FitRow(family, key, base, source=f"{table}:{key.label()}"))
+            rows.append(FitRow(key, base, source=f"{table}:{key.label()}"))
             if family + "X" in fams:
                 ext = XpdExtension(base, *fams[family + "X"])
-                rows.append(FitRow(family + "X", vh, ext, source=f"{table}:{vh.label()}"))
+                rows.append(FitRow(vh, ext, source=f"{table}:{vh.label()}"))
     return FitReport(tuple(rows))
 
 

@@ -24,7 +24,7 @@ same frequency.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
@@ -53,12 +53,16 @@ class FitRow:
     be checked for having been fitted on identical data.
     """
 
-    family: str
     scenario: ScenarioKey
     params: object
+    _: KW_ONLY
     freq_ghz: Optional[float] = None
     n_samples: Optional[int] = None
     source: str = ""
+
+    @property
+    def family(self) -> str:
+        return self.params.family
 
     @property
     def sigma_db(self) -> float:

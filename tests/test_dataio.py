@@ -25,7 +25,9 @@ from mmwpl.dataio import (
     write_params_json,
 )
 from mmwpl.errors import DataError
+from mmwpl.fitting import fit_scenarios
 from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
+from mmwpl.presets import PRESET_TABLES, preset_report
 from mmwpl.report import FitReport, FitRow
 from mmwpl.synthesis import SynthesisSpec, synthesize
 from mmwpl.taxonomy import (
@@ -557,11 +559,11 @@ def demo_report():
     vh = ScenarioKey(Environment.NLOS, Layout.CLOSED_PLAN, PolarizationClass.VH)
     cif = CifParams(n=3.0, b=0.20, f0_ghz=50.0, sigma_db=10.9)
     rows = (
-        FitRow("CI", vv, CiParams(1.1, 0.7), freq_ghz=28.0, n_samples=12, source="t"),
-        FitRow("FI", vv, FiParams(63.6, 0.9, 0.6), freq_ghz=28.0, n_samples=12, source="t"),
-        FitRow("ABG", vv, AbgParams(2.8, 6.2, 3.8, 10.8), source="t"),
-        FitRow("CIF", vv, cif, source="t"),
-        FitRow("CIFX", vh, XpdExtension(cif, 13.5, 10.1), source="t"),
+        FitRow(vv, CiParams(1.1, 0.7), freq_ghz=28.0, n_samples=12, source="t"),
+        FitRow(vv, FiParams(63.6, 0.9, 0.6), freq_ghz=28.0, n_samples=12, source="t"),
+        FitRow(vv, AbgParams(2.8, 6.2, 3.8, 10.8), source="t"),
+        FitRow(vv, cif, source="t"),
+        FitRow(vh, XpdExtension(cif, 13.5, 10.1), source="t"),
     )
     return FitReport(rows)
 
@@ -587,6 +589,28 @@ class TestParamsJson:
         assert ext["xpd_db"] == 13.5
         assert ext["base"]["model"] == "CIF"
         assert ext["base"]["b"] == 0.20
+
+    @pytest.mark.parametrize("table", PRESET_TABLES)
+    def test_a_preset_catalog_round_trips(self, table):
+        self.check_round_trip(preset_report(table))
+
+    def test_a_fitted_cross_polarized_pair_round_trips(self):
+        model = CiParams(ple_n=2.8, sigma_db=6.0)
+        samples = ()
+        for pol in (PolarizationClass.VV, PolarizationClass.VH):
+            key = ScenarioKey(Environment.NLOS, Layout.CLOSED_PLAN, pol)
+            samples += synthesize(SynthesisSpec(model, key, ((28.0, 30), (73.0, 30)),
+                                                (3.9, 45.9), seed=11)).samples
+        report = fit_scenarios(Dataset(samples))
+        assert {"CIX", "CIFX", "ABGX"} <= {row.family for row in report.rows}
+        self.check_round_trip(report)
+
+    @staticmethod
+    def check_round_trip(report):
+        text = dumps_params(report)
+        assert read_params_json(io.StringIO(text)) == report
+        rows = json.loads(text)["rows"]
+        assert [row["model"] for row in rows] == [row["params"]["model"] for row in rows]
 
     def test_round_trip_preserves_parameters(self):
         report = demo_report()
@@ -799,7 +823,6 @@ def reference_row_from_json(obj):
         if not isinstance(family, str):
             raise TypeError(f"model must be a string, got {family!r}")
         return FitRow(
-            family=family,
             scenario=scenario,
             params=reference_params_from_fields(obj["params"]),
             freq_ghz=None if freq is None else _finite(freq, "freq_ghz"),
@@ -816,9 +839,9 @@ def reference_read_rows(rows):
     """read_params_json's rows: each row read, then every row's model
     checked against its params' model."""
     report = FitReport(tuple(map(reference_row_from_json, rows)))
-    for row in report.rows:
-        if row.family != row.params.family:
-            raise DataError(f"read_params_json: bad report row: model {row.family!r} "
+    for raw, row in zip(rows, report.rows):
+        if raw["model"] != row.params.family:
+            raise DataError(f"read_params_json: bad report row: model {raw['model']!r} "
                             f"does not match its params' model {row.params.family!r}")
     return report
 
@@ -837,7 +860,8 @@ def params_strategy(number):
 def reports(number, freq, source):
     scenario = st.builds(ScenarioKey, st.sampled_from(list(Environment)),
                          st.sampled_from(list(Layout)), st.sampled_from(list(PolarizationClass)))
-    row = st.builds(lambda params, *rest: FitRow(params.family, *rest[:1], params, *rest[1:]),
+    row = st.builds(lambda params, key, freq, n, source: FitRow(key, params, freq_ghz=freq,
+                                                                n_samples=n, source=source),
                     params_strategy(number), scenario, freq,
                     st.none() | st.integers(0, 10**6), source)
     return st.lists(row, max_size=6).map(lambda rows: FitReport(tuple(rows)))

@@ -534,13 +534,13 @@ def reference_fit_scenarios(dataset, selections=None, families=None, f0=None):
         pol = key.polarization_class
         for family in fams:
             params = fitters[family](part)
-            rows.append(FitRow(family, key, params, freq_ghz=freq_tag, n_samples=len(part),
+            rows.append(FitRow(key, params, freq_ghz=freq_tag, n_samples=len(part),
                                source=part.provenance))
             slot = (key.environment, key.layout, freq_tag, family)
             if pol is PolarizationClass.VV and family != "FI":
                 bases[slot] = params
             if pol is PolarizationClass.VH and family != "FI" and slot in bases:
-                rows.append(FitRow(family + "X", key, fit_xpd(bases[slot], part),
+                rows.append(FitRow(key, fit_xpd(bases[slot], part),
                                    freq_ghz=freq_tag, n_samples=len(part),
                                    source=part.provenance))
 
@@ -664,6 +664,14 @@ class TestFitScenarios:
             fit_scenarios(ds, families=[])
         assert str(info.value) == ("fit_scenarios: no families requested; "
                                    "choose from ('CI', 'FI', 'ABG', 'CIF')")
+
+    @pytest.mark.parametrize("empty", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_an_empty_selection_list_is_usage(self, empty):
+        ds = dataset_from(CiParams(2.0, 0.0), (28.0, 73.0), (2.0, 5.0, 9.0))
+        with pytest.raises(UsageError) as info:
+            fit_scenarios(ds, empty)
+        assert str(info.value) == ("fit_scenarios: no selections given; "
+                                   "pass None for every pair")
 
     @pytest.mark.parametrize("selection", [
         (Layout.OPEN_PLAN, Environment.NLOS, None),

@@ -1,5 +1,6 @@
 """Sigma-gap bookkeeping and table rendering mechanics."""
 
+import dataclasses
 import decimal
 import math
 
@@ -36,13 +37,34 @@ KEY = ScenarioKey(Environment.NLOS, Layout.CORRIDOR, PolarizationClass.VV)
 def ci_row(sigma, **kw):
     defaults = dict(freq_ghz=28.0, n_samples=40, source="unit")
     defaults.update(kw)
-    return FitRow("CI", KEY, CiParams(2.5, sigma), **defaults)
+    return FitRow(KEY, CiParams(2.5, sigma), **defaults)
 
 
 def fi_row(sigma, **kw):
     defaults = dict(freq_ghz=28.0, n_samples=40, source="unit")
     defaults.update(kw)
-    return FitRow("FI", KEY, FiParams(40.7, 4.0, sigma), **defaults)
+    return FitRow(KEY, FiParams(40.7, 4.0, sigma), **defaults)
+
+
+class TestFitRow:
+    def test_fields_are_the_scenario_params_and_keyword_tags(self):
+        assert [f.name for f in dataclasses.fields(FitRow)] == \
+            ["scenario", "params", "freq_ghz", "n_samples", "source"]
+
+    @pytest.mark.parametrize("params", [
+        CiParams(2.0, 1.0), FiParams(40.0, 2.0, 1.0), AbgParams(3.0, 20.0, 2.0, 1.0),
+        CifParams(3.0, 0.2, 50.0, 1.0), XpdExtension(CiParams(2.0, 1.0), 10.0, 1.0),
+        XpdExtension(AbgParams(3.0, 20.0, 2.0, 1.0), 10.0, 1.0),
+        XpdExtension(CifParams(3.0, 0.2, 50.0, 1.0), 10.0, 1.0),
+    ], ids=lambda params: params.family)
+    def test_family_is_the_params_family(self, params):
+        row = FitRow(KEY, params, freq_ghz=28.0)
+        assert row.family == params.family
+        assert row.sigma_db == params.sigma_db
+
+    def test_a_family_argument_is_refused(self):
+        with pytest.raises(TypeError):
+            FitRow("CI", KEY, CiParams(2.0, 1.0))
 
 
 class TestDeltaSigma:
@@ -200,13 +222,14 @@ def scan(report, family=None, scenario=None, freq_ghz=ANY_FREQ):
 
 SCENARIOS = [ScenarioKey(env, layout, pol) for env in Environment
              for layout in (Layout.CORRIDOR, Layout.CLOSED_PLAN) for pol in PolarizationClass]
-FAMILY_NAMES = ["CI", "FI", "CIX", "ABG", "CIF"]
-FREQS = [None, 28.0, 28, 73.0, float("nan")]
 CI = CiParams(2.0, 1.0)
+FAMILY_PARAMS = {"CI": CI, "FI": FiParams(40.0, 2.0, 1.0), "CIX": XpdExtension(CI, 10.0, 1.0),
+                 "ABG": AbgParams(3.0, 20.0, 2.0, 1.0), "CIF": CifParams(3.0, 0.2, 50.0, 1.0)}
+FAMILY_NAMES = list(FAMILY_PARAMS)
+FREQS = [None, 28.0, 28, 73.0, float("nan")]
 ROWS = st.builds(
-    lambda family, key, freq, n: FitRow(family, key, CI if family != "CIX" else
-                                        XpdExtension(CI, 10.0, 1.0),
-                                        freq_ghz=freq, n_samples=n, source="s"),
+    lambda family, key, freq, n: FitRow(key, FAMILY_PARAMS[family], freq_ghz=freq,
+                                        n_samples=n, source="s"),
     st.sampled_from(FAMILY_NAMES), st.sampled_from(SCENARIOS), st.sampled_from(FREQS),
     st.integers(1, 3),
 )
@@ -382,7 +405,7 @@ def table_row(family, scenario, freq, sigma, n_samples, source):
     }.get(family) or XpdExtension(ci if family == "CIX" else
                                   CifParams(2.5, 0.3, 40.0, sigma) if family == "CIFX" else
                                   AbgParams(3.0, 21.0, 2.4, sigma), 20.0 + sigma, sigma + 1)
-    return FitRow(family, scenario, params, freq_ghz=freq, n_samples=n_samples, source=source)
+    return FitRow(scenario, params, freq_ghz=freq, n_samples=n_samples, source=source)
 
 
 ALL_SCENARIOS = [ScenarioKey(env, layout, pol) for env in Environment for layout in Layout
@@ -436,8 +459,7 @@ class TestRenderMatchesFindReference:
 
     def test_unmeasured_pair_renders_after_the_measured_ones(self):
         los_cp = ScenarioKey(Environment.LOS, Layout.CLOSED_PLAN, PolarizationClass.VV)
-        report = FitReport((FitRow("CI", los_cp, CiParams(2.0, 1.0)),
-                            FitRow("CI", KEY, CiParams(3.0, 1.0))))
+        report = FitReport((FitRow(los_cp, CiParams(2.0, 1.0)), FitRow(KEY, CiParams(3.0, 1.0))))
         lines = render_table(report, "table5").splitlines()[2:]
         assert [[c.strip() for c in line.split("|")[:2]] for line in lines] == \
             [["NLOS", "co"], ["LOS", "cp"]]
