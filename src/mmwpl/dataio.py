@@ -26,7 +26,9 @@ a double quote, \r or \n) and end every line in \n. A shared column's
 cell is made once per file, not once per row.
 
 Parameters travel as JSON with a schema_version field, fixed key order,
-and repr-roundtrip floats, so write -> read -> write is byte-identical.
+and repr-roundtrip floats. A FitRow holds only what params JSON can hold
+(an n_samples over Python's int-to-text digit limit aside), so write ->
+read -> write is byte-identical for every report of FitRows.
 dumps_params writes the text itself, byte for byte what json.dumps(doc,
 indent=2) gives for the document.
 """
@@ -37,7 +39,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 from functools import partial
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -47,7 +48,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DataError
-from .models import _FLOAT_MAX, PARAMS_CLASSES, XPD_BASE_FAMILIES, XpdExtension
+from .models import PARAMS_CLASSES, XPD_BASE_FAMILIES, XpdExtension, _finite
 from .report import FitReport, FitRow
 from .taxonomy import (
     CODE,
@@ -396,13 +397,6 @@ def write_csv(dataset: Dataset, dest: Source) -> None:
             stream.write(f"{head}{between.join(map(','.join, zip(*cells)))}{tail}\n")
 
 
-def _finite(value, *what: str):
-    """A JSON number that is finite; NaN, Infinity, strings and booleans raise."""
-    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        return value
-    raise ValueError(f"{' '.join(what)} must be a finite number, got {value!r}")
-
-
 def _object(value, *what: str) -> dict:
     """A JSON object; any other JSON value raises a TypeError named by what."""
     if isinstance(value, dict):
@@ -423,7 +417,10 @@ def _params_from_fields(obj: dict, *what: str):
                 value = obj.get(name, MIN_DISTANCE_M) if name == "d0_m" else obj[name]
                 read = _params_from_fields if name == "base" else _finite
                 values.append(read(value, model, "parameter", name))
-            return cls(*values)
+            if (params := cls(*values)).family == model:
+                return params
+            raise ValueError(f"model {model!r} does not match its base's model "
+                             f"{params.base.family!r}")
     except DataError:  # an XPD base's own error, already prefixed
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -445,18 +442,11 @@ def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
                 _enum_of(sc["polarization"], PolarizationClass, "polarization class"),
             )
             scenarios[sc["environment"], sc["layout"], sc["polarization"]] = scenario
-        model, freq = obj["model"], obj.get("freq_ghz")
-        if not isinstance(model, str):
-            raise TypeError(f"model must be a string, got {model!r}")
-        params = _params_from_fields(obj["params"], "params")
-        freq_ghz = None if freq is None else _finite(freq, "freq_ghz")
-        n_samples, source = obj.get("n_samples"), obj.get("source", "")
-        if n_samples is not None and (type(n_samples) is not int or n_samples < 0):
-            raise ValueError(f"n_samples must be null or a non-negative integer, "
-                             f"got {n_samples!r}")
-        if not isinstance(source, str):
-            raise TypeError(f"source must be a string, got {source!r}")
-        return FitRow(scenario, params, freq_ghz=freq_ghz, n_samples=n_samples, source=source)
+        if not isinstance(obj["model"], str):
+            raise TypeError(f"model must be a string, got {obj['model']!r}")
+        return FitRow(scenario, _params_from_fields(obj["params"], "params"),
+                      freq_ghz=obj.get("freq_ghz"), n_samples=obj.get("n_samples"),
+                      source=obj.get("source", ""))
     except DataError:  # _params_from_fields' error, already prefixed
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -464,26 +454,17 @@ def _row_from_json(obj: dict, scenarios: dict) -> FitRow:
 
 
 def _json_value(value) -> str:
-    """A scalar as json.dumps writes it: float.__repr__, NaN and Infinity as
-    json spells them, strings ASCII-escaped, a plain int as int.__repr__;
-    json.dumps itself writes the rest (null, true, false, int subclasses)
-    and raises its TypeError for the others."""
+    """A FitRow or params scalar (finite float, str, None, int) as json.dumps writes it."""
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    return "null" if value is None else json.dumps(value)
+    return "null" if value is None else int.__repr__(value)
 
 
 def _params_json(params, indent: str) -> str:
     """A parameter record as json.dumps(indent=2) lays it out at indent: its
     model, then its record in field order, an XPD base nested one deeper."""
-    if not isinstance(params, _CLASSES.get(getattr(params, "family", None), ())):
-        raise DataError(f"write_params_json: unknown parameter type {type(params).__name__}")
     inner = indent + "  "
     return f'{{\n{inner}"model": {_json_value(params.family)}' + "".join(
         f',\n{inner}"{name}": '
@@ -493,9 +474,8 @@ def _params_json(params, indent: str) -> str:
 
 
 def _row_json(row: FitRow) -> str:
-    """One report row as json.dumps(indent=2) lays it out in the rows list;
-    params first, so that a non-record is refused before row.family reads it."""
-    scenario, params = row.scenario, _params_json(row.params, "      ")
+    """One report row as json.dumps(indent=2) lays it out in the rows list."""
+    scenario = row.scenario
     return (f'    {{\n      "model": {_json_value(row.family)},\n'
             f'      "freq_ghz": {_json_value(row.freq_ghz)},\n'
             f'      "scenario": {{\n'
@@ -505,7 +485,7 @@ def _row_json(row: FitRow) -> str:
             f'      }},\n'
             f'      "n_samples": {_json_value(row.n_samples)},\n'
             f'      "source": {_json_value(row.source)},\n'
-            f'      "params": {params}\n'
+            f'      "params": {_params_json(row.params, "      ")}\n'
             f'    }}')
 
 
@@ -517,8 +497,7 @@ def dumps_params(report: FitReport) -> str:
 
 
 def write_params_json(report: FitReport, dest: Source) -> None:
-    """Write dumps_params' text; dest is opened only once it has been built,
-    so a report that cannot be serialized leaves dest as it was."""
+    """Write dumps_params' text; dest is opened only once it has been built."""
     write_text(dumps_params(report), dest)
 
 

@@ -16,12 +16,13 @@ sigma_db attribute and applied by the synthesis module.
 Each class's fields are its family's parameter record, with a field's JSON
 name in its metadata where it differs (ple_n is "n"); the params JSON codec,
 the tables, compare and the estimators read it through _Params.record().
-_Params refuses a bad sigma_db, d0_m (fixed at taxonomy.MIN_DISTANCE_M, 1 m),
-f0_ghz or XPD base, then any other non-finite number. Its mean_path_loss_db
-is predict, the one checked evaluation: each point against POINT_RULES, each
-mean against float64 overflow. A class's own _mean_db(f, d) is the unchecked
-kernel, called only on columns that taxonomy.ensure_fit_ready has checked.
-The family tables and fit plans live here too.
+_Params refuses a field (base aside) that is not a float or an int, then a bad
+sigma_db, d0_m (fixed at taxonomy.MIN_DISTANCE_M, 1 m), f0_ghz or XPD base,
+then any other non-finite number. Its mean_path_loss_db is predict, the one
+checked evaluation: each point against POINT_RULES, each mean against float64
+overflow. A class's own _mean_db(f, d) is the unchecked kernel, called only on
+columns that taxonomy.ensure_fit_ready has checked. The family tables and fit
+plans live here too.
 """
 
 from __future__ import annotations
@@ -42,11 +43,21 @@ from .taxonomy import MIN_DISTANCE_M, POINT_RULES, Dataset, ensure_fit_ready
 _FLOAT_MAX = sys.float_info.max
 
 
+def _finite(value, *what: str):
+    """A finite float or int, as in JSON; anything else raises a ValueError named by what."""
+    if (isinstance(value, float) or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value
+    raise ValueError(f"{' '.join(what)} must be a finite number, got {value!r}")
+
+
 class _Params:
-    """What every parameter class shares: record(), the checks of sigma_db,
-    d0_m, f0_ghz, an XPD base and every other number, and mean_path_loss_db."""
+    """What every parameter class shares: record(), the checks of each field's
+    type and of sigma_db, d0_m, f0_ghz, an XPD base and each number, and mean_path_loss_db."""
 
     def __post_init__(self):
+        for attr, value in vars(self).items():
+            if not (isinstance(value, float) or type(value) is int) and attr != "base":
+                raise TypeError(f"{attr} must be a float or an int, got {value!r}")
         if not 0.0 <= self.sigma_db <= _FLOAT_MAX:
             raise ValueError("sigma_db must be finite and non-negative")
         if getattr(self, "d0_m", MIN_DISTANCE_M) != MIN_DISTANCE_M:

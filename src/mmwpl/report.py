@@ -16,9 +16,7 @@ whole GHz, ties away from zero.
 FitReport.find scans the rows in order; the table renderer reads each
 cell's row from an index it builds once per render, keyed by plain tuples
 (family, environment, layout, polarization class, freq_ghz) and holding
-the first row of each key. A NaN frequency equals no frequency, so rows
-at NaN match no find query and fill no table cell; 28 and 28.0 are the
-same frequency.
+the first row of each key; 28 and 28.0 are the same frequency.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional, Union
 
 from .errors import DataError, NumericalError, UsageError
-from .models import POOLED_FAMILIES
+from .models import POOLED_FAMILIES, _finite, _Params
 from .numformat import format_fixed
 from .taxonomy import LABELS, PAIRS, PolarizationClass, ScenarioKey
 
@@ -50,7 +48,8 @@ class FitRow:
 
     freq_ghz is the single frequency the fit used, or None for a
     multi-frequency fit. source identifies the sample set so that rows can
-    be checked for having been fitted on identical data.
+    be checked for having been fitted on identical data. A row refuses a
+    field that params JSON cannot hold.
     """
 
     scenario: ScenarioKey
@@ -59,6 +58,18 @@ class FitRow:
     freq_ghz: Optional[float] = None
     n_samples: Optional[int] = None
     source: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.scenario, ScenarioKey):
+            raise TypeError(f"scenario must be a ScenarioKey, got {type(self.scenario).__name__}")
+        if not isinstance(self.params, _Params):
+            raise TypeError(f"params must be a parameter record, got {type(self.params).__name__}")
+        if self.freq_ghz is not None:
+            _finite(self.freq_ghz, "freq_ghz")
+        if (n := self.n_samples) is not None and (type(n) is not int or n < 0):
+            raise ValueError(f"n_samples must be null or a non-negative integer, got {n!r}")
+        if not isinstance(self.source, str):
+            raise TypeError(f"source must be a string, got {self.source!r}")
 
     @property
     def family(self) -> str:
@@ -166,8 +177,7 @@ def _render(headers: list[str], body: list[list[str]]) -> str:
 
 def _first_rows(report: FitReport) -> dict:
     """The first row of each plain (family, environment, layout,
-    polarization class, freq_ghz) key, computed once per render; no body
-    asks for a NaN frequency, so rows at NaN fill no cell."""
+    polarization class, freq_ghz) key, computed once per render."""
     first: dict = {}
     for row in report.rows:
         scenario = row.scenario
@@ -177,8 +187,8 @@ def _first_rows(report: FitReport) -> dict:
 
 
 def _freqs(first: dict) -> list[float]:
-    """The sorted distinct frequencies of the keys, None and NaN left out."""
-    return sorted({key[4] for key in first if key[4] is not None and key[4] == key[4]})
+    """The sorted distinct frequencies of the keys, None left out."""
+    return sorted({key[4] for key in first if key[4] is not None})
 
 
 def _model_cells(row: Optional[FitRow], width: int) -> list[str]:

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwpl import dataio
 from mmwpl.dataio import (
     CSV_COLUMNS,
     SkippedRow,
     _enum_of,
-    _finite,
     dumps_params,
     read_csv,
     read_params_json,
@@ -26,7 +26,7 @@ from mmwpl.dataio import (
 )
 from mmwpl.errors import DataError
 from mmwpl.fitting import fit_scenarios
-from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension
+from mmwpl.models import AbgParams, CifParams, CiParams, FiParams, XpdExtension, _finite
 from mmwpl.presets import PRESET_TABLES, preset_report
 from mmwpl.report import FitReport, FitRow
 from mmwpl.synthesis import SynthesisSpec, synthesize
@@ -688,16 +688,31 @@ class TestParamsJson:
         assert read_params_json(str(path)) == demo_report()
 
     @pytest.mark.parametrize("dest", ["path", "stream"])
-    def test_unserializable_report_leaves_dest_as_it_was(self, tmp_path, dest):
-        bad = FitReport(demo_report().rows + (replace(demo_report().rows[0], params=object()),))
+    def test_a_failed_dump_leaves_dest_as_it_was(self, tmp_path, monkeypatch, dest):
+        def fail(report):
+            raise DataError("dump failed")
+
+        monkeypatch.setattr(dataio, "dumps_params", fail)
         path = tmp_path / "params.json"
         path.write_text("previous contents")
         stream = io.StringIO("previous contents")
-        with pytest.raises(DataError) as info:
-            write_params_json(bad, str(path) if dest == "path" else stream)
-        assert str(info.value) == "write_params_json: unknown parameter type object"
+        with pytest.raises(DataError, match="^dump failed$"):
+            write_params_json(demo_report(), str(path) if dest == "path" else stream)
         assert path.read_text() == "previous contents"
         assert stream.getvalue() == "previous contents"
+
+    @pytest.mark.parametrize("base, model", [
+        (AbgParams(2.8, 6.2, 3.8, 10.8), "CIX"), (AbgParams(2.8, 6.2, 3.8, 10.8), "CIFX"),
+        (CiParams(1.1, 0.7), "ABGX"), (CifParams(3.0, 0.2, 50.0, 10.9), "CIX"),
+    ])
+    def test_xpd_model_must_be_its_base_model_and_x(self, base, model):
+        key = ScenarioKey(Environment.NLOS, Layout.CLOSED_PLAN, PolarizationClass.VH)
+        doc = json.loads(dumps_params(FitReport((FitRow(key, XpdExtension(base, 13.5, 10.1)),))))
+        doc["rows"][0]["params"]["model"] = model
+        with pytest.raises(DataError) as info:
+            read_params_json(io.StringIO(json.dumps(doc)))
+        assert str(info.value) == (f"read_params_json: bad parameter object: model {model!r} "
+                                   f"does not match its base's model {base.family!r}")
 
     @pytest.mark.parametrize("rows, kind", [("5", "int"), ("null", "NoneType"),
                                             ('{"a": 1}', "dict"), ('""', "str")])
@@ -797,7 +812,11 @@ def reference_params_from_fields(obj, what="params"):
                              num("sigma_db"), num("d0_m", 1.0))
         if model in ("CIX", "ABGX", "CIFX"):
             base = reference_params_from_fields(obj["base"], f"{model} parameter base")
-            return XpdExtension(base, num("xpd_db"), num("sigma_db"))
+            params = XpdExtension(base, num("xpd_db"), num("sigma_db"))
+            if base.family + "X" != model:
+                raise ValueError(f"model {model!r} does not match its base's model "
+                                 f"{base.family!r}")
+            return params
     except DataError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -806,8 +825,8 @@ def reference_params_from_fields(obj, what="params"):
 
 
 def reference_row_from_json(obj):
-    """_row_from_json without the ScenarioKey memo and the type checks of
-    n_samples and source."""
+    """_row_from_json without the ScenarioKey memo; FitRow checks n_samples
+    and source."""
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"row must be a JSON object, got {type(obj).__name__}")
@@ -877,8 +896,9 @@ SOURCES = st.text() | st.sampled_from(["", "data.csv[LOS:CO:VV]@28GHz", "é \x
 
 class TestParamsCodec:
     @settings(max_examples=300, deadline=None)
-    # the constructors refuse a non-finite coefficient; freq_ghz keeps NaN and infinities
-    @given(report=reports(ANY_FLOAT.filter(math.isfinite), st.none() | ANY_FLOAT, SOURCES))
+    # the constructors refuse a non-finite coefficient and a non-finite freq_ghz
+    @given(report=reports(ANY_FLOAT.filter(math.isfinite),
+                          st.none() | ANY_FLOAT.filter(math.isfinite), SOURCES))
     def test_writer_matches_json_dumps(self, report):
         assert dumps_params(report) == reference_dumps_params(report)
 

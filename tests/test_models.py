@@ -248,6 +248,23 @@ class TestParameterValidation:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build(10**400)
 
+    @pytest.mark.parametrize("value", [True, np.float32(2.0), np.int64(2), "2", None, 2j],
+                             ids=repr)
+    def test_a_number_that_is_not_a_float_or_int_is_refused(self, value):
+        # params JSON holds only floats and ints; the type is checked before sigma_db
+        for model in (CiParams(2.0, 1.0), FiParams(50.0, 2.0, 1.0),
+                      AbgParams(2.0, 30.0, 2.0, 1.0), CifParams(2.0, 0.1, 50.0, 1.0),
+                      XpdExtension(CifParams(2.0, 0.1, 50.0, 1.0), 10.0, 1.0)):
+            for attr in vars(model).keys() - {"base"}:
+                with pytest.raises(TypeError) as info:
+                    dataclasses.replace(model, **{"sigma_db": -1.0, attr: value})
+                assert str(info.value) == f"{attr} must be a float or an int, got {value!r}"
+
+    def test_a_float_subclass_and_an_int_are_numbers(self):
+        model = CifParams(np.float64(2.0), 0, np.float64(50.0), 1, d0_m=1)
+        assert [type(value) for value in vars(model).values()] == \
+            [np.float64, int, np.float64, int, int]
+
     def test_own_checks_come_before_the_coefficients(self):
         for build, message in (
                 (lambda: CiParams(math.nan, -1.0), "sigma_db must be finite and non-negative"),
