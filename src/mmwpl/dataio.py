@@ -26,9 +26,8 @@ a double quote, \r or \n) and end every line in \n. A shared column's
 cell is made once per file, not once per row.
 
 Parameters travel as JSON with a schema_version field, fixed key order,
-and repr-roundtrip floats. A FitRow holds only what params JSON can hold
-(an n_samples over Python's int-to-text digit limit aside), so write ->
-read -> write is byte-identical for every report of FitRows.
+and repr-roundtrip floats. A FitRow holds only what params JSON can hold,
+so write -> read -> write is byte-identical for every report of FitRows.
 dumps_params writes the text itself, byte for byte what json.dumps(doc,
 indent=2) gives for the document.
 """
@@ -48,7 +47,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DataError
-from .models import PARAMS_CLASSES, XPD_BASE_FAMILIES, XpdExtension, _finite
+from .models import MODEL_CLASSES, _finite
 from .report import FitReport, FitRow
 from .taxonomy import (
     CODE,
@@ -404,15 +403,12 @@ def _object(value, *what: str) -> dict:
     raise TypeError(f"{' '.join(what)} must be a JSON object, got {type(value).__name__}")
 
 
-_CLASSES = {**PARAMS_CLASSES, **{base + "X": XpdExtension for base in XPD_BASE_FAMILIES}}
-
-
 def _params_from_fields(obj: dict, *what: str):
     """A parameter record from its JSON object, named by what; an absent d0_m reads as 1 m."""
     try:
         model = _object(obj, *what)["model"]
-        if isinstance(model, str) and model in _CLASSES:
-            cls, values = _CLASSES[model], []
+        if isinstance(model, str) and model in MODEL_CLASSES:
+            cls, values = MODEL_CLASSES[model], []
             for name in cls._json_names:
                 value = obj.get(name, MIN_DISTANCE_M) if name == "d0_m" else obj[name]
                 read = _params_from_fields if name == "base" else _finite

@@ -38,6 +38,7 @@ from .models import (
 from .numformat import round_half_away
 from .report import FitReport, FitRow
 from .taxonomy import (
+    CLASS_MASKS,
     CODE,
     LAYOUTS,
     MIN_DISTANCE_M,
@@ -45,7 +46,6 @@ from .taxonomy import (
     Dataset,
     Environment,
     Layout,
-    Polarization,
     PolarizationClass,
     ScenarioKey,
     ensure_fit_ready,
@@ -334,9 +334,9 @@ def fit_scenarios(
     list, or a name outside FIT_FAMILIES, raises UsageError.
     f0_ghz is the CIF reference frequency, by default compute_f0's rule.
 
-    Each selection's (environment, layout) group is selected once and its
-    per-row terms computed once; every fit is a take of those rows, in file
-    order.
+    Each selection's (environment, layout) group and per-row terms are made
+    once; a class takes its rows, in file order, by taxonomy.CLASS_MASKS,
+    the mask partition_by_scenario reads, and every fit is a take of those.
     Raises DataError when any sample of the dataset is invalid, also one
     outside the selections, or when no selected scenario holds samples.
     """
@@ -383,15 +383,10 @@ def fit_scenarios(
             if pol_filter not in (None, pol_class) or key in fitted:
                 continue
             fitted.add(key)
-            if pol_class is PolarizationClass.COMBINED:
-                if np.unique(pol).size < 2:
-                    continue  # combined duplicates a lone polarization
-                part = terms
-            else:
-                index = np.flatnonzero(pol == CODE[Polarization(pol_class.value)])
-                if index.size == 0:
-                    continue
-                part = terms.take(index)
+            index = np.flatnonzero(CLASS_MASKS[pol_class].take(pol))
+            if index.size == 0 or pol_class is PolarizationClass.COMBINED and np.ptp(pol) == 0:
+                continue  # combined duplicates a lone polarization
+            part = terms if index.size == pol.size else terms.take(index)
             source = key.source(dataset.provenance)
             freqs = np.unique(part.f).tolist()
             for freq in freqs:

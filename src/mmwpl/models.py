@@ -179,8 +179,6 @@ PARAMS_CLASSES = {cls.family: cls for cls in (CiParams, FiParams, AbgParams, Cif
 CoPolarizedParams = Union[CiParams, AbgParams, CifParams]
 XPD_BASE_FAMILIES = tuple(cls.family for cls in get_args(CoPolarizedParams))
 
-MODEL_FAMILIES = (*PARAMS_CLASSES, *(base + "X" for base in XPD_BASE_FAMILIES))
-
 # the fit plans in table order: per frequency (tables 3, 4), pooled (tables 5, 6)
 PER_FREQUENCY_FAMILIES = ("CI", "FI")
 POOLED_FAMILIES = ("CI", "CIF", "ABG")
@@ -205,6 +203,10 @@ class XpdExtension(_Params):
     def _mean_db(self, f, d):
         return self.base._mean_db(f, d) + self.xpd_db
 
+
+# every family by name: the directly fitted ones, then each XPD base's X
+MODEL_CLASSES = {**PARAMS_CLASSES, **{base + "X": XpdExtension for base in XPD_BASE_FAMILIES}}
+MODEL_FAMILIES = tuple(MODEL_CLASSES)
 
 PathLossModel = Union[CiParams, FiParams, AbgParams, CifParams, XpdExtension]
 

@@ -32,6 +32,7 @@ from .taxonomy import LABELS, PAIRS, PolarizationClass, ScenarioKey
 
 # slack below which a negative sigma gap is attributed to rounding
 DELTA_SIGMA_SLACK_DB = 0.05
+_INT_TEXT_END = 10**4300  # the least int past CPython's default int-to-text limit
 
 
 class _Wildcard(enum.Enum):
@@ -66,7 +67,9 @@ class FitRow:
             raise TypeError(f"params must be a parameter record, got {type(self.params).__name__}")
         if self.freq_ghz is not None:
             _finite(self.freq_ghz, "freq_ghz")
-        if (n := self.n_samples) is not None and (type(n) is not int or n < 0):
+        if type(n := self.n_samples) is int and abs(n) >= _INT_TEXT_END:  # formatting n would fail
+            raise ValueError("n_samples must be null or a non-negative integer under 10**4300")
+        if n is not None and (type(n) is not int or n < 0):
             raise ValueError(f"n_samples must be null or a non-negative integer, got {n!r}")
         if not isinstance(self.source, str):
             raise TypeError(f"source must be a string, got {self.source!r}")
@@ -82,9 +85,15 @@ class FitRow:
 
 @dataclass(frozen=True)
 class FitReport:
-    """An ordered set of fit rows, renderable as comparison tables."""
+    """An ordered tuple of FitRows, renderable as comparison tables; refuses any other row."""
 
     rows: tuple[FitRow, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for i, row in enumerate(self.rows):
+            if not isinstance(row, FitRow):
+                raise TypeError(f"rows[{i}] must be a FitRow, got {type(row).__name__}")
 
     def __len__(self) -> int:
         return len(self.rows)

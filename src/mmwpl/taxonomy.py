@@ -229,6 +229,11 @@ LAYOUTS: tuple[Layout, ...] = tuple(Layout)
 CODE = {m: i for members in (POLARIZATIONS, ENVIRONMENTS, LAYOUTS)
         for i, m in enumerate(members)}
 
+# each class's matches() over the pol codes, read-only; .take(pol) beats [pol] on int8 codes
+CLASS_MASKS = {c: np.array([c.matches(p) for p in POLARIZATIONS]) for c in PolarizationClass}
+for _mask in CLASS_MASKS.values():
+    _mask.flags.writeable = False
+
 _COLUMN_DTYPES = {
     "freq": np.float64,
     "dist": np.float64,
@@ -383,14 +388,13 @@ class Dataset:
 def partition_by_scenario(dataset: Dataset, key: ScenarioKey) -> Dataset:
     """Select the samples of one scenario, preserving order.
 
-    The Combined class takes both polarizations. An empty result is returned
-    as an empty dataset, not an error.
+    The class's CLASS_MASKS entry picks the polarizations, so Combined takes
+    both. An empty result is returned as an empty dataset, not an error.
     """
-    wanted = np.array([key.polarization_class.matches(p) for p in POLARIZATIONS])
     mask = (
         (dataset.env == CODE[key.environment])
         & (dataset.layout == CODE[key.layout])
-        & wanted[dataset.pol]
+        & CLASS_MASKS[key.polarization_class].take(dataset.pol)
     )
     return dataset.select(mask, key.source(dataset.provenance))
 

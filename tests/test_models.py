@@ -12,6 +12,9 @@ from mmwpl import presets
 from mmwpl.errors import DomainError, NumericalError
 from mmwpl.freespace import fspl_db
 from mmwpl.models import (
+    MODEL_CLASSES,
+    MODEL_FAMILIES,
+    PARAMS_CLASSES,
     AbgParams,
     CifParams,
     CiParams,
@@ -27,6 +30,22 @@ from mmwpl.taxonomy import Dataset, Environment, Layout, PathLossSample, Polariz
 def mk(freq, dist, loss):
     return PathLossSample(freq, dist, loss, Polarization.VV,
                           Environment.NLOS, Layout.CORRIDOR)
+
+
+class TestFamilyTable:
+    def test_model_families_are_the_table_names_in_order(self):
+        assert MODEL_FAMILIES == tuple(MODEL_CLASSES) == (
+            "CI", "FI", "ABG", "CIF", "CIX", "ABGX", "CIFX")
+
+    def test_each_x_family_is_an_xpd_extension_and_the_rest_their_params_class(self):
+        bases = {"CI": CiParams(2.0, 1.0), "ABG": AbgParams(3.0, 20.0, 2.0, 1.0),
+                 "CIF": CifParams(3.0, 0.2, 50.0, 1.0)}
+        for family, cls in MODEL_CLASSES.items():
+            if family.endswith("X"):
+                assert cls is XpdExtension
+                assert cls(bases[family[:-1]], 10.0, 1.0).family == family
+            else:
+                assert cls is PARAMS_CLASSES[family] and cls.family == family
 
 
 class TestPrediction:

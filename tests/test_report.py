@@ -94,6 +94,10 @@ class TestFitRow:
          "freq_ghz must be a finite number, got nan"),
         ({"n_samples": -1, "source": 5}, ValueError,
          "n_samples must be null or a non-negative integer, got -1"),
+        # formatting an int of over 4300 digits raises, so the message leaves n out
+        *(({"n_samples": n}, ValueError,
+           "n_samples must be null or a non-negative integer under 10**4300")
+          for n in (10**4300, 10**5000, -10**4300)),
     ])
     def test_a_field_params_json_cannot_hold_is_refused(self, fields, error, message):
         with pytest.raises(error) as info:
@@ -107,6 +111,26 @@ class TestFitRow:
     def test_a_field_params_json_can_hold_is_kept(self, tags):
         row = FitRow(KEY, CI, **tags)
         assert [getattr(row, name) for name in tags] == list(tags.values())
+
+
+class TestFitReport:
+    @pytest.mark.parametrize("rows, message", [
+        ((None,), "rows[0] must be a FitRow, got NoneType"),
+        ([ci_row(1.0), 5], "rows[1] must be a FitRow, got int"),
+        ((ci_row(1.0), fi_row(1.0), KEY), "rows[2] must be a FitRow, got ScenarioKey"),
+        ((CI,), "rows[0] must be a FitRow, got CiParams"),
+    ])
+    def test_a_row_that_is_not_a_fit_row_is_refused(self, rows, message):
+        with pytest.raises(TypeError) as info:
+            FitReport(rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows", [(), [], [ci_row(1.0)], (ci_row(1.0), fi_row(1.0))],
+                             ids=repr)
+    def test_rows_are_kept_as_a_tuple_so_a_report_hashes(self, rows):
+        report = FitReport(rows)
+        assert type(report.rows) is tuple and report.rows == tuple(rows)
+        assert hash(report) == hash(FitReport(tuple(rows)))
 
 
 class TestDeltaSigma:

@@ -14,6 +14,7 @@ from mmwpl import cli, presets
 from mmwpl.errors import DataError, UsageError
 from mmwpl.report import TABLE_STYLES, render_table
 from mmwpl.taxonomy import (
+    CLASS_MASKS,
     CODE,
     ENV_TOKENS,
     LABELS,
@@ -388,6 +389,16 @@ class TestVocabulary:
                 cells["Env"], cells["L/O"], cells.get("Pol", "Comb."))
             scenarios.add(ScenarioKey(env, layout, pol))
         assert scenarios == {row.scenario for row in report.rows}
+
+    def test_each_class_mask_is_matches_over_the_codes_and_read_only(self):
+        assert list(CLASS_MASKS) == list(PolarizationClass)
+        for pol_class, mask in CLASS_MASKS.items():
+            assert mask.dtype == bool and mask.shape == (len(Polarization),)
+            for pol in Polarization:
+                assert mask[CODE[pol]] == pol_class.matches(pol)
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
 
     def test_codes_are_definition_positions(self):
         for members in (Polarization, Environment, Layout):
